@@ -49,7 +49,7 @@ from repro.bench.reporting import format_table
 from repro.core.buffer import Buffer
 from repro.core.codegen import GeneratedStreamProjector
 from repro.core.engine import GCXEngine
-from repro.core.projector import CompiledStreamProjector
+from repro.core.projector import CompiledStreamProjector, FusedStreamProjector
 from repro.xmark.generator import generate_document
 from repro.xmark.queries import ADAPTED_QUERIES
 from repro.xmlio import cscan
@@ -137,8 +137,8 @@ def build_stages(scale: float, query_key: str, kernel: str = "both"):
             buffer.stats.record_series = False
             lexer = make_lexer(data)
             if variant == "fused":
-                GeneratedStreamProjector(
-                    plan.kernels.lexer, lexer, plan.dfa, buffer
+                FusedStreamProjector(
+                    plan.kernels.lexer, lexer, buffer
                 ).run_to_end()
             elif variant == "codegen":
                 GeneratedStreamProjector(

@@ -512,8 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="push an unsolicited SNAPSHOT frame to the client every "
         "N input bytes per session (0 = only on client CHECKPOINT "
-        "frames); sessions are then opened checkpointable "
-        "(default %(default)s)",
+        "frames); sessions are then opened checkpointable, on the "
+        "fused projector and the VM evaluator (default %(default)s)",
     )
     serve.add_argument(
         "--fault-plan",

@@ -41,19 +41,12 @@ VM uses, bound once as locals.  Opcode dispatch, pc bookkeeping and
 frame allocation disappear; semantics cannot drift because the
 primitives are shared.
 
-**Kernel C — the fused lexer front-end**
-(:func:`generate_lexer_kernel`): the deepest fusion of the ladder.
-Kernels A and B still pull one event per token through the lexer's
-per-event scan; Kernel C instead feeds the projector from
-:meth:`~repro.xmlio.lexer_bytes.ByteXmlLexer.project_into` — the
-lexer's batch loop (C-accelerated when available) with the plan's
-closed tag alphabet fused into the scan, so a start tag whose name
-the DFA can never match stops the batch *before its subtree is
-tokenized* and is consumed by one bulk ``skip_subtree``.  Generation
-certifies the alphabet against the oracle NFA (a sentinel tag must be
-dead, role-free and parent-neutral in every reachable state) and
-declines plans with wildcard/``node()`` element tests or descendant
-self-loops, whose skips cannot be decided by name alone.
+**Kernel C — the fused lexer front-end** (:func:`generate_lexer_kernel`)
+is *not* generated code: its loop is the same for every plan, written
+once as :class:`~repro.core.projector.FusedStreamProjector`.  This
+module only computes its plan data — the closed tag alphabet fused
+into the lexer's batch scan, certified against the oracle NFA — and
+declines plans whose root keeps unknown tags live.
 
 All kernels are *optional tiers*: any generation failure (or a plan
 shape outside the generator's reach) yields ``None`` and the engine
@@ -161,30 +154,12 @@ class EvaluatorKernel:
 
 @dataclass(frozen=True)
 class LexerKernel:
-    """One generated fused lexer front-end (Kernel C), plan-owned.
+    """Plan data of the fused lexer front-end (Kernel C), the input of
+    :class:`~repro.core.projector.FusedStreamProjector`: ``live_tags``
+    is the closed tag alphabet fused into the scan; ``certified`` means
+    the oracle NFA proved every tag outside it dead in every reachable
+    state (``probed_states`` of them passed the probe)."""
 
-    The factory has the same ``factory(projector) -> (advance,
-    run_to_end)`` shape as :class:`ProjectorKernel`, so it binds
-    through the same :class:`GeneratedStreamProjector`; the difference
-    is *input*: instead of pulling one event per ``advance()`` through
-    ``next_event``, the generated loop batch-tokenizes through
-    :meth:`~repro.xmlio.lexer_bytes.ByteXmlLexer.project_into` with the
-    plan's closed tag alphabet (``live_tags``) fused into the scan —
-    tag names the DFA can never match stop the batch *before* their
-    subtrees are tokenized and go straight to the bulk
-    ``skip_subtree`` path.  Generation certifies that fusion with the
-    oracle NFA (see :func:`generate_lexer_kernel`): ``certified=True``
-    means an out-of-alphabet tag is provably dead in every reachable
-    state and the loop skips it without consulting the DFA;
-    ``certified=False`` (e.g. a subtree-copy role ending in
-    ``descendant-or-self::node()``) keeps the batch fusion but routes
-    every skip decision through the shared DFA dispatch.
-    ``probed_states`` is how many reachable states the probe proved
-    fusible.
-    """
-
-    factory: object
-    source: str
     dfa: PathDFA
     live_tags: tuple
     probed_states: int
@@ -211,14 +186,9 @@ class PlanKernels:
 
     @property
     def source_chars(self) -> int:
-        total = 0
-        if self.projector is not None:
-            total += len(self.projector.source)
-        if self.evaluator is not None:
-            total += len(self.evaluator.source)
-        if self.lexer is not None:
-            total += len(self.lexer.source)
-        return total
+        """Generated source footprint (Kernel C generates none)."""
+        kernels = (self.projector, self.evaluator)
+        return sum(len(k.source) for k in kernels if k is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +613,7 @@ class GeneratedStreamProjector:
 
 
 # ---------------------------------------------------------------------------
-# Kernel C: the generated fused lexer front-end
+# Kernel C: the fused lexer front-end's plan data
 # ---------------------------------------------------------------------------
 
 #: The certification probe tag: NUL can never start an XML name, so no
@@ -651,13 +621,6 @@ class GeneratedStreamProjector:
 #: answers "what happens to a tag name outside the plan's alphabet?"
 #: for one state in one call.
 _SENTINEL_TAG = "\x00"
-
-#: Events per :meth:`project_into` refill.  Large enough to amortize
-#: the call across a C-scanned run, small enough that a live batch
-#: never holds output hostage for long (the lexer additionally returns
-#: early rather than block mid-batch, so this is a ceiling, not a
-#: latency floor).
-_LEXER_BATCH = 512
 
 
 def _probe_fusible(dfa: PathDFA, state: int) -> bool:
@@ -691,7 +654,7 @@ def _certify_live_alphabet(dfa: PathDFA, tags: list[str]) -> tuple:
     exhausting a ``[1]`` step), and every reachable state is probed
     with :func:`_probe_fusible`.  ``certified=True`` means the probe
     passed in *every* closure state — an out-of-alphabet tag is dead
-    everywhere, so the generated loop may bulk-skip it without
+    everywhere, so the fused loop may bulk-skip it without
     touching the DFA at all.  ``certified=False`` (some state keeps
     unknown tags live, e.g. a trailing ``descendant-or-self::node()``
     subtree-copy role, or the closure is too large to enumerate) still
@@ -732,32 +695,8 @@ def _certify_live_alphabet(dfa: PathDFA, tags: list[str]) -> tuple:
 
 
 def generate_lexer_kernel(dfa: PathDFA, analysis) -> LexerKernel:
-    """Generate, compile and return Kernel C for one plan.
-
-    The generated ``advance`` replaces the per-event ``next_event``
-    pull of the projector kernels with a queue refilled by
-    ``project_into(queue, LIVE, batch)``: the lexer batch-tokenizes —
-    through the C scanner when available — and stops right behind any
-    start tag whose name is outside the plan's alphabet, which the
-    loop then consumes with one bulk ``skip_subtree`` (no event
-    tuples, no DFA transition, no memo interning for dead names).
-    In-queue events dispatch through the same shared-memo transition
-    logic as :class:`~repro.core.projector.CompiledStreamProjector`,
-    so outputs, statistics and errors stay byte-identical; the one
-    subtlety is a skip decided for an *in-queue* start (a live-alphabet
-    tag entering the dead state), whose subtree may already be partly
-    tokenized — the loop drains those queued events first and
-    bulk-skips only the still-unread frontier, one open element at a
-    time.
-
-    When :func:`_certify_live_alphabet` certifies the whole closure,
-    the flagged batch tail (the out-of-alphabet start) additionally
-    takes a baked fast path: no DFA transition, no memo interning for
-    the dead name.  When the certificate is partial — some state keeps
-    unknown tags live, e.g. a subtree-copy role ending in
-    ``descendant-or-self::node()`` — the tail start dispatches through
-    the shared DFA like any other event, which decides dead-vs-live
-    per state; the batch boundary itself is always sound.
+    """The plan data of Kernel C: the alphabet and its certificate
+    (:func:`_certify_live_alphabet`), computed once per plan compile.
 
     Raises:
         CodegenError: the plan cannot profit from fusion at all — no
@@ -770,225 +709,7 @@ def generate_lexer_kernel(dfa: PathDFA, analysis) -> LexerKernel:
     if not tags:
         raise CodegenError("no named projection tags to fuse over")
     certified, probed = _certify_live_alphabet(dfa, tags)
-
-    consts = _Constants("L")
-    live = dict.fromkeys(tags)
-    live_name = consts.name_for(live)
-    w = _SourceWriter()
-    w.lines(0, (
-        "def make_advance(P):",
-        "    lexer = P._lexer",
-        "    project_into = lexer.project_into",
-        "    skip_subtree = lexer.skip_subtree",
-        "    buffer = P._buffer",
-        "    stats = P._stats",
-        "    series = stats.series",
-        "    new_element = buffer.new_element",
-        "    new_text = buffer.new_text",
-        "    add_roles = buffer.add_roles",
-        "    close = buffer.close",
-        "    compute_element = DFA.compute_element",
-        "    compute_text = DFA.text",
-        "    tags = P._tags",
-        "    attrs = P._attrs",
-        "    states = P._states",
-        "    nodes = P._nodes",
-        "    tags_append = tags.append",
-        "    attrs_append = attrs.append",
-        "    states_append = states.append",
-        "    nodes_append = nodes.append",
-        "    tags_pop = tags.pop",
-        "    attrs_pop = attrs.pop",
-        "    states_pop = states.pop",
-        "    nodes_pop = nodes.pop",
-        "    queue = []",
-        "    qi = 0",
-        "    qlen = 0",
-        "    tail_dead = False",
-        "    pending_error = None",
-        "",
-        "    def materialize(index):",
-        "        depth = index",
-        "        while nodes[depth] is None:",
-        "            depth -= 1",
-        "        while depth < index:",
-        "            depth += 1",
-        "            nodes[depth] = new_element(nodes[depth - 1], tags[depth], attrs[depth])",
-        "        return nodes[index]",
-        "",
-        "    def advance():",
-        "        nonlocal qi, qlen, tail_dead, pending_error",
-        "        if qi >= qlen:",
-        "            if P.exhausted:",
-        "                return False",
-        "            if pending_error is not None:",
-        "                # tokenize-ahead hit this error while earlier",
-        "                # events were still queued; those have all been",
-        "                # dispatched now, so the error surfaces on the",
-        "                # advance() call the per-event path would use",
-        "                error = pending_error",
-        "                pending_error = None",
-        "                raise error",
-        "            del queue[:]",
-        "            try:",
-        f"                got = project_into(queue, {live_name}, {_LEXER_BATCH})",
-        "            except Exception as error:",
-        "                if not queue:",
-        "                    raise",
-        "                pending_error = error",
-        "                got = len(queue)",
-        "            if got == 0:",
-        "                P.exhausted = True",
-        "                close(buffer.root)",
-        "                return False",
-        "            if got < 0:",
-        "                tail_dead = True",
-        "                qlen = -got",
-        "            else:",
-        "                tail_dead = False",
-        "                qlen = got",
-        "            qi = 0",
-        "        event = queue[qi]",
-        "        qi += 1",
-        "        kind = event[0]",
-        "        if kind == 0:",
-        "            name = event[1]",
-    ))
-    if certified:
-        w.lines(0, (
-            "            if tail_dead and qi == qlen:",
-            "                # the flagged tail: a start whose name is outside",
-            "                # the certified alphabet — dead in every reachable",
-            "                # state, parent unchanged, no roles; the cursor",
-            "                # sits right behind the start tag",
-            "                tail_dead = False",
-            "                stats.tokens += 1",
-            "                stats.subtrees_skipped += 1",
-            "                cnt = skip_subtree()",
-            "                stats.tokens += cnt",
-            "                lc = buffer.live_count",
-            "                if lc > stats.watermark:",
-            "                    stats.watermark = lc",
-            "                if stats.record_series:",
-            "                    series.append(lc)",
-            "                    if cnt > 0:",
-            "                        series.extend([lc] * cnt)",
-            "                return True",
-        ))
-    w.lines(0, (
-        "            state = states[-1]",
-        "            entry = EM[state].get(name)",
-        "            if entry is None:",
-        "                entry = compute_element(state, name)",
-        "            child, parent, counts = entry",
-        "            if parent != state:",
-        "                states[-1] = parent",
-        "            if counts is not None:",
-        "                top = len(nodes) - 1",
-        "                pnode = nodes[top]",
-        "                if pnode is None:",
-        "                    pnode = materialize(top)",
-        "                node = new_element(pnode, name, event[2])",
-        "                add_roles(node, counts)",
-        "            else:",
-        "                node = None",
-        "            stats.tokens += 1",
-        "            lc = buffer.live_count",
-        "            if lc > stats.watermark:",
-        "                stats.watermark = lc",
-        "            if stats.record_series:",
-        "                series.append(lc)",
-        "            if child:",
-        "                tags_append(name)",
-        "                attrs_append(event[2])",
-        "                states_append(child)",
-        "                nodes_append(node)",
-        "            else:",
-        "                if node is None:",
-        "                    stats.subtrees_skipped += 1",
-        "                # a live-alphabet tag entering the dead state:",
-        "                # its subtree may be partly tokenized into the",
-        "                # queue already — drain those events, then skip",
-        "                # the unread frontier one open element at a time",
-        "                cnt = 0",
-        "                depth = 1",
-        "                while depth:",
-        "                    if qi < qlen:",
-        "                        ev = queue[qi]",
-        "                        qi += 1",
-        "                        k = ev[0]",
-        "                        if k == 0:",
-        "                            depth += 1",
-        "                        elif k == 1:",
-        "                            depth -= 1",
-        "                        cnt += 1",
-        "                    else:",
-        "                        cnt += skip_subtree()",
-        "                        depth -= 1",
-        "                if cnt > 0:",
-        "                    stats.tokens += cnt",
-        "                    lc = buffer.live_count",
-        "                    if lc > stats.watermark:",
-        "                        stats.watermark = lc",
-        "                    if stats.record_series:",
-        "                        series.extend([lc] * cnt)",
-        "                if node is not None:",
-        "                    close(node)",
-        "        elif kind == 1:",
-        "            tags_pop()",
-        "            attrs_pop()",
-        "            states_pop()",
-        "            node = nodes_pop()",
-        "            if node is not None:",
-        "                close(node)",
-        "            stats.tokens += 1",
-        "            lc = buffer.live_count",
-        "            if lc > stats.watermark:",
-        "                stats.watermark = lc",
-        "            if stats.record_series:",
-        "                series.append(lc)",
-        "        else:",
-        "            state = states[-1]",
-        "            entry = TM[state]",
-        "            if entry is None:",
-        "                entry = compute_text(state)",
-        "            counts, parent = entry",
-        "            if counts is not None:",
-        "                top = len(states) - 1",
-        "                pnode = nodes[top]",
-        "                if pnode is None:",
-        "                    pnode = materialize(top)",
-        "                node = new_text(pnode, event[3])",
-        "                add_roles(node, counts)",
-        "            if parent != state:",
-        "                states[-1] = parent",
-        "            stats.tokens += 1",
-        "            lc = buffer.live_count",
-        "            if lc > stats.watermark:",
-        "                stats.watermark = lc",
-        "            if stats.record_series:",
-        "                series.append(lc)",
-        "        return True",
-        "",
-        "    def run_to_end():",
-        "        while advance():",
-        "            pass",
-        "",
-        "    return advance, run_to_end",
-    ))
-
-    source = w.source()
-    namespace = dict(consts.namespace)
-    namespace["DFA"] = dfa
-    namespace["EM"] = dfa._element_memo
-    namespace["TM"] = dfa._text_memo
-    try:
-        module = _compile_namespace(source, "<gcx-lexer-kernel>", namespace)
-    except SyntaxError as exc:  # pragma: no cover - generator bug guard
-        raise CodegenError(f"generated lexer source invalid: {exc}") from exc
     return LexerKernel(
-        factory=module["make_advance"],
-        source=source,
         dfa=dfa,
         live_tags=tuple(tags),
         probed_states=probed,

@@ -80,21 +80,11 @@ from dataclasses import dataclass
 
 from repro.core.analysis import analyze_query
 from repro.core.buffer import Buffer
-from repro.core.codegen import (
-    CodegenEvaluator,
-    GeneratedStreamProjector,
-    generate_plan_kernels,
-)
+from repro.core.codegen import generate_plan_kernels
 from repro.core.matcher import PathDFA, PathMatcher
 from repro.core.plan import CompiledQuery, PlanCache, QueryPlan
-from repro.core.program import (
-    CompiledEvaluator,
-    ProgramCompileError,
-    compile_program,
-)
-from repro.core.projector import CompiledStreamProjector, StreamProjector
-from repro.core.evaluator import PullEvaluator
-from repro.core.session import StreamSession
+from repro.core.program import ProgramCompileError, compile_program
+from repro.core.session import StreamSession, build_pipeline
 from repro.core.signoff import insert_signoffs
 from repro.core.stats import BufferStats
 from repro.xmlio.lexer import make_lexer
@@ -285,49 +275,12 @@ class GCXEngine:
         # The plan's matcher/dfa are immutable resp. logically immutable
         # (per-stream match state lives on the projector's stack), so
         # concurrent runs share them.
-        kernels = compiled.kernels if self.codegen else None
-        if self.compiled and compiled.dfa is not None:
-            if (
-                kernels is not None
-                and self.fused_lexer
-                and kernels.lexer is not None
-                and hasattr(lexer, "project_into")
-            ):
-                # deepest tier (bytes sources only: make_lexer returns
-                # the str lexer for str input, which has no batch
-                # projection surface)
-                projector = GeneratedStreamProjector(
-                    kernels.lexer, lexer, compiled.dfa, buffer, stats
-                )
-            elif kernels is not None and kernels.projector is not None:
-                projector = GeneratedStreamProjector(
-                    kernels.projector, lexer, compiled.dfa, buffer, stats
-                )
-            else:
-                projector = CompiledStreamProjector(
-                    lexer, compiled.dfa, buffer, stats
-                )
-        else:
-            projector = StreamProjector(lexer, compiled.matcher, buffer, stats)
         writer = XmlWriter(stream=output_stream)
-        if self.compiled_eval and compiled.program is not None:
-            if kernels is not None and kernels.evaluator is not None:
-                evaluator = CodegenEvaluator(
-                    kernels.evaluator,
-                    compiled.program,
-                    projector,
-                    buffer,
-                    writer,
-                    self.gc_enabled,
-                )
-            else:
-                evaluator = CompiledEvaluator(
-                    compiled.program, projector, buffer, writer, self.gc_enabled
-                )
-        else:
-            evaluator = PullEvaluator(
-                compiled.rewritten, projector, buffer, writer, self.gc_enabled
-            )
+        projector, evaluator = build_pipeline(
+            compiled, lexer, buffer, stats, writer, self.gc_enabled,
+            compiled=self.compiled, compiled_eval=self.compiled_eval,
+            codegen=self.codegen, fused_lexer=self.fused_lexer,
+        )
         started = time.perf_counter()
         evaluator.run()
         if self.drain:
@@ -371,8 +324,11 @@ class GCXEngine:
                 ``drain_output()`` / ``next_output()`` then return
                 ``bytes`` ready for the wire.
             checkpointable: allow ``snapshot()``/``freeze()`` on this
-                session (DESIGN.md §16).  Pins the table-driven
-                kernel tier, whose state is fully serializable.
+                session (DESIGN.md §16).  The session runs the fused
+                projector (Kernel C) and the operator-program VM; the
+                ``exec``-generated Kernels A and B are left out because
+                their loop state lives in generated locals a freeze
+                cannot capture.
         """
         plan = query if isinstance(query, QueryPlan) else self.compile(query)
         kwargs = {}
@@ -423,6 +379,8 @@ class GCXEngine:
             output_stream=output_stream,
             on_output=on_output,
             max_pending_output=max_pending_output,
+            codegen=self.codegen,
+            fused_lexer=self.fused_lexer,
             **kwargs,
         )
 

@@ -17,7 +17,7 @@ tokens individually in the statistics) and is the single place the
 input moves forward — the pull chain of the paper's Figure 2:
 evaluator → buffer manager → projector.
 
-Two implementations share that contract:
+Three implementations share that contract:
 
 * :class:`StreamProjector` — the reference interpreter: classic token
   objects in, one NFA instance-list interpretation per token.  It is
@@ -32,6 +32,9 @@ Two implementations share that contract:
   without building tokens at all.  Outputs, watermarks, per-token
   series and role statistics are byte-identical to the interpreter at
   every chunking.
+* :class:`FusedStreamProjector` — the same dispatch fed in batches by
+  the bytes lexer's ``project_into``, with the plan's tag alphabet
+  fused into the scan (DESIGN.md §15); the production tier.
 """
 
 from __future__ import annotations
@@ -177,32 +180,17 @@ class StreamProjector:
             self._buffer.close(entry.node)
 
 
-class CompiledStreamProjector:
-    """The fused dispatch loop over DFA states (the compiled kernel).
-
-    Drop-in replacement for :class:`StreamProjector` with the same
-    ``advance()`` / ``run_to_end()`` / ``exhausted`` contract and
-    byte-identical observable behaviour; only the per-token machinery
-    differs:
-
-    * the lexer side is the event fast path — slotted tuples, no token
-      objects — and irrelevant subtrees are consumed by
-      :meth:`~repro.xmlio.lexer.XmlLexer.skip_subtree` in one call;
-    * the matcher side is one memo-dict lookup per token against the
-      plan's shared :class:`~repro.core.matcher.PathDFA` (the oracle
-      NFA only runs on a memo miss, once per ``(state, tag)`` ever);
-    * the open-element stack is four parallel lists (tag, attrs, DFA
-      state, buffer node) — pushing an element allocates nothing.
-    """
+class _DFAStackProjector:
+    """State of the two DFA-driven projectors: the open-element stack as
+    four parallel lists (tag, attrs, DFA state, buffer node), the parked
+    half of a frozen subtree skip, and the checkpoint state — one
+    format, so a blob from either subclass restores into the other."""
 
     __slots__ = (
         "_lexer",
         "_dfa",
         "_buffer",
         "_stats",
-        "_next_event",
-        "_element_memo",
-        "_text_memo",
         "_tags",
         "_attrs",
         "_states",
@@ -211,23 +199,14 @@ class CompiledStreamProjector:
         "exhausted",
     )
 
-    def __init__(
-        self,
-        lexer: XmlLexer,
-        dfa: PathDFA,
-        buffer: Buffer,
-        stats: BufferStats | None = None,
-    ):
+    def __init__(self, lexer, dfa: PathDFA, buffer: Buffer, stats=None):
         self._lexer = lexer
         self._dfa = dfa
         self._buffer = buffer
         self._stats = stats if stats is not None else buffer.stats
-        # Hot-path bindings: the memo lists are append-only and shared
-        # (never reassigned) by every session of the plan.
-        self._next_event = lexer.next_event
-        self._element_memo = dfa._element_memo
-        self._text_memo = dfa._text_memo
-        # The open-element stack, root (document) at index 0.
+        # The open-element stack, root (document) at index 0.  The four
+        # lists are never reassigned (restore refills them in place),
+        # so hot loops may bind them once.
         self._tags: list = [None]
         self._attrs: list = [None]
         self._states: list[int] = [dfa.start]
@@ -240,6 +219,98 @@ class CompiledStreamProjector:
             buffer.add_roles(buffer.root, dfa.start_roles)
         self.exhausted = False
 
+    def _materialize(self, index: int) -> BufferNode:
+        """Create buffer nodes for the stack entry at *index* and any
+        unmaterialized ancestors (outermost first, preserving document
+        order) — the role-less spine that holds the tree shape."""
+        nodes = self._nodes
+        depth = index
+        while nodes[depth] is None:
+            depth -= 1
+        tags = self._tags
+        attrs = self._attrs
+        new_element = self._buffer.new_element
+        while depth < index:
+            depth += 1
+            nodes[depth] = new_element(nodes[depth - 1], tags[depth], attrs[depth])
+        return nodes[index]
+
+    def _resume_skip(self) -> None:
+        """Finish the subtree skip a freeze interrupted — the tail of
+        the very ``advance()`` call that was unwound, so its bulk token
+        record lands before any other buffer activity."""
+        (node,) = self._pending_skip
+        count = self._lexer.skip_subtree()
+        self._pending_skip = None
+        self._stats.record_tokens(count, self._buffer.live_count)
+        if node is not None:
+            self._buffer.close(node)
+
+    # ------------------------------------------------------------------
+    # checkpointing
+    # ------------------------------------------------------------------
+
+    def snapshot_state(self) -> dict:
+        """Match state as a dict of primitives plus BufferNode refs.
+
+        DFA state *ids* are process-local (lazily interned); the
+        snapshot stores each stack level's canonical NFA-instance
+        multiset — ``((role, step, count), ...)`` — which is stable
+        across processes and re-interned on restore.
+        """
+        dfa_states = self._dfa._states
+        return {
+            "tags": list(self._tags),
+            "attrs": [
+                None if attrs is None else tuple(dict(attrs).items())
+                for attrs in self._attrs
+            ],
+            "states": [dfa_states[state] for state in self._states],
+            "nodes": list(self._nodes),
+            "exhausted": self.exhausted,
+            "pending_skip": self._pending_skip,
+        }
+
+    def restore_state(self, state: dict, resolve) -> None:
+        """Adopt a :meth:`snapshot_state` dict; *resolve* maps decoded
+        node references back to buffer nodes."""
+        self._tags[:] = state["tags"]
+        self._attrs[:] = state["attrs"]
+        intern_state = self._dfa.intern_state
+        self._states[:] = [intern_state(key) for key in state["states"]]
+        self._nodes[:] = [resolve(ref) for ref in state["nodes"]]
+        self.exhausted = state["exhausted"]
+        pending = state["pending_skip"]
+        self._pending_skip = None if pending is None else (resolve(pending[0]),)
+
+
+class CompiledStreamProjector(_DFAStackProjector):
+    """The fused dispatch loop over DFA states, one event per call (the
+    table-driven kernel).
+
+    Drop-in replacement for :class:`StreamProjector` with the same
+    ``advance()`` / ``run_to_end()`` / ``exhausted`` contract and
+    byte-identical observable behaviour; only the per-token machinery
+    differs:
+
+    * the lexer side is the event fast path — slotted tuples, no token
+      objects — and irrelevant subtrees are consumed by
+      :meth:`~repro.xmlio.lexer.XmlLexer.skip_subtree` in one call;
+    * the matcher side is one memo-dict lookup per token against the
+      plan's shared :class:`~repro.core.matcher.PathDFA` (the oracle
+      NFA only runs on a memo miss, once per ``(state, tag)`` ever).
+    """
+
+    __slots__ = ("_next_event", "_element_memo", "_text_memo")
+
+    def __init__(self, lexer: XmlLexer, dfa: PathDFA, buffer: Buffer, stats=None):
+        super().__init__(lexer, dfa, buffer, stats)
+        # Hot-path bindings: the memo lists are append-only and shared
+        # (never reassigned) by every session of the plan.
+        self._next_event = lexer.next_event
+        self._element_memo = dfa._element_memo
+        self._text_memo = dfa._text_memo
+
     # ------------------------------------------------------------------
 
     def advance(self) -> bool:
@@ -247,15 +318,7 @@ class CompiledStreamProjector:
         if self.exhausted:
             return False
         if self._pending_skip is not None:
-            # finish the subtree skip a freeze interrupted — the tail
-            # of the very advance() call that was unwound, so its bulk
-            # token record lands before any other buffer activity
-            (node,) = self._pending_skip
-            count = self._lexer.skip_subtree()
-            self._pending_skip = None
-            self._stats.record_tokens(count, self._buffer.live_count)
-            if node is not None:
-                self._buffer.close(node)
+            self._resume_skip()
             return True
         event = self._next_event()
         if event is None:
@@ -322,22 +385,6 @@ class CompiledStreamProjector:
 
     # ------------------------------------------------------------------
 
-    def _materialize(self, index: int) -> BufferNode:
-        """Create buffer nodes for the stack entry at *index* and any
-        unmaterialized ancestors (outermost first, preserving document
-        order) — the role-less spine that holds the tree shape."""
-        nodes = self._nodes
-        depth = index
-        while nodes[depth] is None:
-            depth -= 1
-        tags = self._tags
-        attrs = self._attrs
-        new_element = self._buffer.new_element
-        while depth < index:
-            depth += 1
-            nodes[depth] = new_element(nodes[depth - 1], tags[depth], attrs[depth])
-        return nodes[index]
-
     def _materialize_child(self, tag, attrs) -> BufferNode:
         """Materialize the arriving element (plus its spine)."""
         top = len(self._nodes) - 1
@@ -365,39 +412,247 @@ class CompiledStreamProjector:
         if node is not None:
             self._buffer.close(node)
 
-    # ------------------------------------------------------------------
-    # checkpointing
-    # ------------------------------------------------------------------
+
+#: Events per ``project_into`` refill: enough to amortize the call over
+#: a C-scanned run; a ceiling, not a latency floor (the lexer returns
+#: early rather than block while it holds events).
+_LEXER_BATCH = 512
+
+
+class FusedStreamProjector(_DFAStackProjector):
+    """The fused lexer front-end (Kernel C, DESIGN.md §15): the
+    :class:`CompiledStreamProjector` dispatch, fed in batches.
+
+    ``advance`` refills a queue with
+    :meth:`~repro.xmlio.lexer_bytes.ByteXmlLexer.project_into`, which
+    stops the batch right behind a start tag outside the plan's alphabet
+    — that subtree is never tokenized but consumed by one bulk
+    ``skip_subtree``.  *kernel* is the plan's
+    :class:`~repro.core.codegen.LexerKernel` (alphabet, DFA, and whether
+    the alphabet is ``certified``: the flagged tail is then skipped
+    without a DFA transition).  ``advance``/``run_to_end`` are closures
+    built once per instance, every hot binding in a cell.  Behaviour is
+    byte-identical to :class:`CompiledStreamProjector`.
+
+    Freeze-safe: ``project_into`` blocks for input (the only source of
+    a ``FreezeSignal``) only while it has appended nothing, and both
+    skip sites count the queued events before their one lexer skip, so
+    a freeze always leaves the queue empty and parks the shared
+    ``_pending_skip = (node,)`` state.
+    """
+
+    __slots__ = ("advance", "run_to_end", "_queued")
+
+    def __init__(self, kernel, lexer, buffer: Buffer, stats=None):
+        dfa = kernel.dfa
+        super().__init__(lexer, dfa, buffer, stats)
+        P = self
+        project_into = lexer.project_into
+        skip_subtree = lexer.skip_subtree
+        live = dict.fromkeys(kernel.live_tags)
+        certified = kernel.certified
+        stats = self._stats
+        series = stats.series
+        new_element = buffer.new_element
+        new_text = buffer.new_text
+        add_roles = buffer.add_roles
+        close = buffer.close
+        EM = dfa._element_memo
+        TM = dfa._text_memo
+        compute_element = dfa.compute_element
+        compute_text = dfa.text
+        materialize = self._materialize
+        tags = self._tags
+        attrs = self._attrs
+        states = self._states
+        nodes = self._nodes
+        queue: list = []
+        qi = 0
+        qlen = 0
+        tail_dead = False
+        pending_error = None
+
+        def advance():
+            nonlocal qi, qlen, tail_dead, pending_error
+            if qi >= qlen:
+                if P.exhausted:
+                    return False
+                if pending_error is not None:
+                    # tokenize-ahead hit this error while earlier events
+                    # were still queued; those have all been dispatched
+                    # now, so the error surfaces on the advance() call
+                    # the per-event path would use
+                    error = pending_error
+                    pending_error = None
+                    raise error
+                if P._pending_skip is not None:
+                    P._resume_skip()
+                    return True
+                del queue[:]
+                try:
+                    got = project_into(queue, live, _LEXER_BATCH)
+                except Exception as error:
+                    if not queue:
+                        raise
+                    pending_error = error
+                    got = len(queue)
+                if got == 0:
+                    P.exhausted = True
+                    close(buffer.root)
+                    return False
+                if got < 0:
+                    tail_dead = certified
+                    qlen = -got
+                else:
+                    tail_dead = False
+                    qlen = got
+                qi = 0
+            event = queue[qi]
+            qi += 1
+            kind = event[0]
+            if kind == 0:
+                name = event[1]
+                if tail_dead and qi == qlen:
+                    # the flagged tail: a start whose name is outside the
+                    # certified alphabet — dead in every reachable state,
+                    # parent unchanged, no roles; the cursor sits right
+                    # behind the start tag
+                    tail_dead = False
+                    stats.tokens += 1
+                    stats.subtrees_skipped += 1
+                    lc = buffer.live_count
+                    if lc > stats.watermark:
+                        stats.watermark = lc
+                    if stats.record_series:
+                        series.append(lc)
+                    try:
+                        cnt = skip_subtree()
+                    except FreezeSignal:
+                        P._pending_skip = (None,)
+                        raise
+                    if cnt > 0:
+                        stats.tokens += cnt
+                        if stats.record_series:
+                            series.extend([lc] * cnt)
+                    return True
+                state = states[-1]
+                entry = EM[state].get(name)
+                if entry is None:
+                    entry = compute_element(state, name)
+                child, parent, counts = entry
+                if parent != state:
+                    states[-1] = parent
+                if counts is not None:
+                    top = len(nodes) - 1
+                    pnode = nodes[top]
+                    if pnode is None:
+                        pnode = materialize(top)
+                    node = new_element(pnode, name, event[2])
+                    add_roles(node, counts)
+                else:
+                    node = None
+                stats.tokens += 1
+                lc = buffer.live_count
+                if lc > stats.watermark:
+                    stats.watermark = lc
+                if stats.record_series:
+                    series.append(lc)
+                if child:
+                    tags.append(name)
+                    attrs.append(event[2])
+                    states.append(child)
+                    nodes.append(node)
+                    return True
+                # a live-alphabet tag entering the dead state: its
+                # subtree may be partly tokenized into the queue already
+                # — count those events, then skip every still-open level
+                # in one lexer call
+                if node is None:
+                    stats.subtrees_skipped += 1
+                depth = 1
+                cnt = 0
+                while qi < qlen:
+                    k = queue[qi][0]
+                    qi += 1
+                    cnt += 1
+                    if k == 0:
+                        depth += 1
+                    elif k == 1:
+                        depth -= 1
+                        if not depth:
+                            break
+                if depth:
+                    stats.tokens += cnt
+                    if stats.record_series:
+                        series.extend([lc] * cnt)
+                    try:
+                        cnt = skip_subtree(depth)
+                    except FreezeSignal:
+                        P._pending_skip = (node,)
+                        raise
+                if cnt > 0:
+                    stats.tokens += cnt
+                    if stats.record_series:
+                        series.extend([lc] * cnt)
+                if node is not None:
+                    close(node)
+            elif kind == 1:
+                tags.pop()
+                attrs.pop()
+                states.pop()
+                node = nodes.pop()
+                if node is not None:
+                    close(node)
+                stats.tokens += 1
+                lc = buffer.live_count
+                if lc > stats.watermark:
+                    stats.watermark = lc
+                if stats.record_series:
+                    series.append(lc)
+            else:
+                state = states[-1]
+                entry = TM[state]
+                if entry is None:
+                    entry = compute_text(state)
+                counts, parent = entry
+                if counts is not None:
+                    top = len(states) - 1
+                    pnode = nodes[top]
+                    if pnode is None:
+                        pnode = materialize(top)
+                    node = new_text(pnode, event[3])
+                    add_roles(node, counts)
+                if parent != state:
+                    states[-1] = parent
+                stats.tokens += 1
+                lc = buffer.live_count
+                if lc > stats.watermark:
+                    stats.watermark = lc
+                if stats.record_series:
+                    series.append(lc)
+            return True
+
+        def run_to_end():
+            while advance():
+                pass
+
+        def queued():
+            return qlen - qi, pending_error
+
+        self.advance = advance
+        self.run_to_end = run_to_end
+        self._queued = queued
 
     def snapshot_state(self) -> dict:
-        """Match state as a dict of primitives plus BufferNode refs.
+        """The shared checkpoint state; refused while events sit in the
+        queue or a tokenize-ahead error is pending — neither exists at a
+        freeze (see the class docstring), so this guards misuse."""
+        queued, error = self._queued()
+        if queued or error is not None:
+            from repro.core.session import SessionStateError  # import cycle
 
-        DFA state *ids* are process-local (lazily interned); the
-        snapshot stores each stack level's canonical NFA-instance
-        multiset — ``((role, step, count), ...)`` — which is stable
-        across processes and re-interned on restore.
-        """
-        dfa_states = self._dfa._states
-        return {
-            "tags": list(self._tags),
-            "attrs": [
-                None if attrs is None else tuple(dict(attrs).items())
-                for attrs in self._attrs
-            ],
-            "states": [dfa_states[state] for state in self._states],
-            "nodes": list(self._nodes),
-            "exhausted": self.exhausted,
-            "pending_skip": self._pending_skip,
-        }
-
-    def restore_state(self, state: dict, resolve) -> None:
-        """Adopt a :meth:`snapshot_state` dict; *resolve* maps decoded
-        node references back to buffer nodes."""
-        self._tags = list(state["tags"])
-        self._attrs = list(state["attrs"])
-        intern_state = self._dfa.intern_state
-        self._states = [intern_state(key) for key in state["states"]]
-        self._nodes = [resolve(ref) for ref in state["nodes"]]
-        self.exhausted = state["exhausted"]
-        pending = state["pending_skip"]
-        self._pending_skip = None if pending is None else (resolve(pending[0]),)
+            raise SessionStateError(
+                "fused projector is not quiescent: "
+                f"{queued} queued event(s), pending error {error!r}"
+            )
+        return super().snapshot_state()

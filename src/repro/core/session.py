@@ -70,7 +70,11 @@ from repro.core.codegen import CodegenEvaluator, GeneratedStreamProjector
 from repro.core.evaluator import PullEvaluator
 from repro.core.plan import QueryPlan
 from repro.core.program import CompiledEvaluator
-from repro.core.projector import CompiledStreamProjector, StreamProjector
+from repro.core.projector import (
+    CompiledStreamProjector,
+    FusedStreamProjector,
+    StreamProjector,
+)
 from repro.core.snapshot import (
     decode_session,
     encode_session,
@@ -95,6 +99,65 @@ _FREEZE = object()
 
 class SessionStateError(RuntimeError):
     """A session method was called in the wrong lifecycle state."""
+
+
+def build_pipeline(
+    plan: QueryPlan,
+    lexer,
+    buffer: Buffer,
+    stats: BufferStats,
+    writer: XmlWriter,
+    gc_enabled: bool = True,
+    *,
+    compiled: bool = True,
+    compiled_eval: bool = True,
+    codegen: bool = True,
+    fused_lexer: bool = True,
+    checkpointable: bool = False,
+):
+    """``(projector, evaluator)`` for one run of *plan*: the one tier
+    ladder of pull runs, push sessions and restored sessions.
+
+    Projector: fused front-end (bytes lexers only) → Kernel A → DFA
+    tables → NFA interpreter; evaluator: Kernel B → VM → interpreter.
+    *checkpointable* skips the ``exec``-generated Kernels A and B, whose
+    loop state lives in generated locals a freeze cannot capture.
+    """
+    kernels = plan.kernels if codegen else None
+    generated = kernels if not checkpointable else None
+    if compiled and plan.dfa is not None:
+        if (
+            kernels is not None
+            and fused_lexer
+            and kernels.lexer is not None
+            and hasattr(lexer, "project_into")
+        ):
+            projector = FusedStreamProjector(kernels.lexer, lexer, buffer, stats)
+        elif generated is not None and generated.projector is not None:
+            projector = GeneratedStreamProjector(
+                generated.projector, lexer, plan.dfa, buffer, stats
+            )
+        else:
+            projector = CompiledStreamProjector(lexer, plan.dfa, buffer, stats)
+    else:
+        projector = StreamProjector(lexer, plan.matcher, buffer, stats)
+    # The plan's operator program is immutable and shared too; all
+    # per-run state (slots, loop frames) lives on the evaluator.
+    if compiled_eval and plan.program is not None:
+        if generated is not None and generated.evaluator is not None:
+            evaluator = CodegenEvaluator(
+                generated.evaluator, plan.program, projector, buffer, writer,
+                gc_enabled,
+            )
+        else:
+            evaluator = CompiledEvaluator(
+                plan.program, projector, buffer, writer, gc_enabled
+            )
+    else:
+        evaluator = PullEvaluator(
+            plan.rewritten, projector, buffer, writer, gc_enabled
+        )
+    return projector, evaluator
 
 
 class _ChunkChannel:
@@ -398,12 +461,6 @@ class StreamSession:
                     "checkpointable sessions require the compiled "
                     "evaluator tier (plan.program)"
                 )
-            # The generated kernels keep their dispatch state in
-            # exec-compiled locals that cannot be captured mid-loop;
-            # pin the table-driven tier, whose state is all on the
-            # instance (DESIGN.md §16).
-            codegen = False
-            fused_lexer = False
         self.plan = plan
         self._checkpointable = checkpointable
         self._gc_enabled = gc_enabled
@@ -427,51 +484,13 @@ class StreamSession:
         # match state lives on the projector's stack, and the dfa's
         # transition memo only ever gains deterministic entries — one
         # session discovering a tag makes it a dict lookup for all.
-        kernels = plan.kernels if codegen else None
-        if compiled and plan.dfa is not None:
-            if (
-                kernels is not None
-                and fused_lexer
-                and kernels.lexer is not None
-            ):
-                # deepest tier: the fused lexer front-end batch-feeds
-                # the generated dispatch, bulk-skipping dead subtrees
-                # before they are ever tokenized
-                self._projector = GeneratedStreamProjector(
-                    kernels.lexer, self._lexer, plan.dfa,
-                    self._buffer, self._stats,
-                )
-            elif kernels is not None and kernels.projector is not None:
-                self._projector = GeneratedStreamProjector(
-                    kernels.projector, self._lexer, plan.dfa,
-                    self._buffer, self._stats,
-                )
-            else:
-                self._projector = CompiledStreamProjector(
-                    self._lexer, plan.dfa, self._buffer, self._stats
-                )
-        else:
-            self._projector = StreamProjector(
-                self._lexer, plan.matcher, self._buffer, self._stats
-            )
         self._writer = XmlWriter(stream=self._output)
-        # The plan's operator program is immutable and shared too; all
-        # per-run state (slots, loop frames) lives on the evaluator.
-        if compiled_eval and plan.program is not None:
-            if kernels is not None and kernels.evaluator is not None:
-                self._evaluator = CodegenEvaluator(
-                    kernels.evaluator, plan.program, self._projector,
-                    self._buffer, self._writer, gc_enabled,
-                )
-            else:
-                self._evaluator = CompiledEvaluator(
-                    plan.program, self._projector, self._buffer, self._writer,
-                    gc_enabled,
-                )
-        else:
-            self._evaluator = PullEvaluator(
-                plan.rewritten, self._projector, self._buffer, self._writer, gc_enabled
-            )
+        self._projector, self._evaluator = build_pipeline(
+            plan, self._lexer, self._buffer, self._stats, self._writer,
+            gc_enabled, compiled=compiled, compiled_eval=compiled_eval,
+            codegen=codegen, fused_lexer=fused_lexer,
+            checkpointable=checkpointable,
+        )
         self._error: BaseException | None = None
         self._result = None
         self._bytes_fed = 0
@@ -721,6 +740,8 @@ class StreamSession:
         on_output=None,
         max_pending_output: int | None = None,
         max_pending_chunks: int = DEFAULT_MAX_PENDING_CHUNKS,
+        codegen: bool = True,
+        fused_lexer: bool = True,
     ) -> "StreamSession":
         """Rebuild a session from a :meth:`snapshot` blob.
 
@@ -731,7 +752,9 @@ class StreamSession:
         :class:`~repro.core.snapshot.SnapshotFormatError`.  The caller
         resumes feeding at byte offset ``bytes_fed`` and the combined
         output (already-delivered prefix + what this session produces)
-        is byte-identical to an uninterrupted run.
+        is byte-identical to an uninterrupted run.  The tiers follow
+        *codegen*/*fused_lexer* as for a new checkpointable session; the
+        fused and table projectors share one checkpoint state.
         """
         snap = decode_session(blob)
         verify_plan(snap, plan)
@@ -766,26 +789,20 @@ class StreamSession:
         self._stats = BufferStats(record_series=snap.stats["record_series"])
         self._buffer = Buffer(self._stats)
         self._lexer = ByteXmlLexer(refill=self._pull_chunk)
-        self._projector = CompiledStreamProjector(
-            self._lexer, plan.dfa, self._buffer, self._stats
-        )
         self._writer = XmlWriter(stream=self._output)
-        self._evaluator = CompiledEvaluator(
-            plan.program, self._projector, self._buffer, self._writer,
-            snap.gc_enabled,
+        self._projector, self._evaluator = build_pipeline(
+            plan, self._lexer, self._buffer, self._stats, self._writer,
+            snap.gc_enabled, codegen=codegen, fused_lexer=fused_lexer,
+            checkpointable=True,
         )
-        stats = self._stats
-        st = snap.stats
-        stats.series = st["series"]
-        stats.watermark = st["watermark"]
-        stats.tokens = st["tokens"]
-        stats.nodes_buffered = st["nodes_buffered"]
-        stats.nodes_purged = st["nodes_purged"]
-        stats.roles_assigned = st["roles_assigned"]
-        stats.roles_removed = st["roles_removed"]
-        stats.subtrees_skipped = st["subtrees_skipped"]
-        stats.output_chars = st["output_chars"]
-        stats.final_buffered = st["final_buffered"]
+        # the series in place: the fused projector's loop holds the list
+        self._stats.series[:] = snap.stats["series"]
+        for field in (
+            "watermark", "tokens", "nodes_buffered", "nodes_purged",
+            "roles_assigned", "roles_removed", "subtrees_skipped",
+            "output_chars", "final_buffered",
+        ):
+            setattr(self._stats, field, snap.stats[field])
         self._buffer._seq = snap.seq_counter
         self._buffer.live_count = snap.live_count
         self._buffer.root = snap.root

@@ -58,16 +58,13 @@ import time
 from typing import TYPE_CHECKING
 
 from repro.core.buffer import Buffer
-from repro.core.codegen import CodegenEvaluator, GeneratedStreamProjector
-from repro.core.evaluator import PullEvaluator
 from repro.core.plan import QueryPlan
-from repro.core.program import CompiledEvaluator
-from repro.core.projector import CompiledStreamProjector
 from repro.core.session import (
     DEFAULT_MAX_PENDING_CHUNKS,
     SessionStateError,
     _ChunkChannel,
     _OutputChannel,
+    build_pipeline,
 )
 from repro.core.stats import BufferStats
 from repro.multiplex.plan import MultiplexPlan
@@ -233,34 +230,13 @@ class StreamSubscriber:
         self._stats = BufferStats(record_series=record_series)
         self._buffer = Buffer(self._stats)
         # The per-plan pipeline is the stock single-plan machinery —
-        # only the lexer seat is taken by the replay facade.
-        kernels = plan.kernels if codegen else None
-        if kernels is not None and kernels.projector is not None:
-            self._projector = GeneratedStreamProjector(
-                kernels.projector, self._replay, plan.dfa,
-                self._buffer, self._stats,
-            )
-        else:
-            self._projector = CompiledStreamProjector(
-                self._replay, plan.dfa, self._buffer, self._stats
-            )
+        # only the lexer seat is taken by the replay facade (which has
+        # no batch projection surface, so the fused tier never engages).
         self._writer = XmlWriter(stream=self._output)
-        if compiled_eval and plan.program is not None:
-            if kernels is not None and kernels.evaluator is not None:
-                self._evaluator = CodegenEvaluator(
-                    kernels.evaluator, plan.program, self._projector,
-                    self._buffer, self._writer, gc_enabled,
-                )
-            else:
-                self._evaluator = CompiledEvaluator(
-                    plan.program, self._projector, self._buffer,
-                    self._writer, gc_enabled,
-                )
-        else:
-            self._evaluator = PullEvaluator(
-                plan.rewritten, self._projector, self._buffer,
-                self._writer, gc_enabled,
-            )
+        self._projector, self._evaluator = build_pipeline(
+            plan, self._replay, self._buffer, self._stats, self._writer,
+            gc_enabled, compiled_eval=compiled_eval, codegen=codegen,
+        )
         self._error: BaseException | None = None
         self._result = None
         self._started = time.perf_counter()

@@ -278,8 +278,9 @@ class SessionScheduler:
         Compilation goes through the shared plan cache; compile errors
         (unparsable query, unsupported fragment) propagate to the
         caller after the provisional slot is returned.  *checkpointable*
-        pins the session to the snapshot-safe table kernels so a later
-        CHECKPOINT can freeze and encode it (DESIGN.md §16).
+        opens the session on the freeze-safe tiers (fused projector and
+        operator-program VM) so a later CHECKPOINT can freeze and
+        encode it (DESIGN.md §16).
         """
         with self._lock:
             if self._active >= self.max_sessions:

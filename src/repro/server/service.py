@@ -433,7 +433,11 @@ class GCXServer:
                         # slot it may yet win must not leak.
                         admit.add_done_callback(_abort_orphaned_admission)
                         raise
-                    except QUERY_ERRORS as exc:
+                    except Exception as exc:  # noqa: BLE001
+                        # QUERY_ERRORS and anything else compiling the
+                        # query can raise: a query the engine cannot
+                        # take is refused with ERROR, never by dropping
+                        # the connection
                         await self._send(
                             writer, FrameType.ERROR, _one_line(exc), lock=send_lock
                         )

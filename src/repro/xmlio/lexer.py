@@ -131,6 +131,31 @@ _NON_WS_RE = re.compile(NON_WS_SRC)
 
 _intern = sys.intern
 
+#: XML 1.0 ``CharRef``: decimal digits, or a lowercase ``x`` and hex
+#: digits (no sign, no spaces, no ``X`` — what ``int()`` would forgive).
+_CHAR_REF_RE = re.compile(r"#(?:([0-9]+)|x([0-9a-fA-F]+))")
+
+
+def _char_ref(entity: str, offset: int) -> str:
+    """The character a ``&#...;`` reference names, which must match
+    XML's ``Char`` production (no NUL, no other C0 control but tab/LF/
+    CR, no surrogate, no U+FFFE/U+FFFF, nothing past U+10FFFF)."""
+    match = _CHAR_REF_RE.fullmatch(entity)
+    code = -1
+    if match is not None:
+        decimal, hexadecimal = match.groups()
+        digits = (decimal or hexadecimal).lstrip("0") or "0"
+        if len(digits) <= 7:  # longer is out of range either way
+            code = int(digits, 10 if decimal else 16)
+    if not (
+        0x20 <= code <= 0xD7FF
+        or code in (0x9, 0xA, 0xD)
+        or 0xE000 <= code <= 0xFFFD
+        or 0x10000 <= code <= 0x10FFFF
+    ):
+        raise XmlSyntaxError(f"invalid character reference &{entity};", offset)
+    return chr(code)
+
 
 def resolve_entities_text(raw: str, offset: int) -> str:
     """Resolve the predefined entities and character references in
@@ -138,9 +163,10 @@ def resolve_entities_text(raw: str, offset: int) -> str:
     by the time entities are resolved).
 
     Raises:
-        XmlSyntaxError: on an unterminated or unknown reference;
-            the reported position is *offset* plus the index of the
-            ``&`` within *raw*.
+        XmlSyntaxError: on an unterminated or unknown reference, or a
+            character reference outside XML's ``Char`` production; the
+            reported position is *offset* plus the index of the ``&``
+            within *raw*.
     """
     if "&" not in raw:
         return raw
@@ -156,10 +182,8 @@ def resolve_entities_text(raw: str, offset: int) -> str:
         if end == -1:
             raise XmlSyntaxError("unterminated entity reference", offset + i)
         entity = raw[i + 1 : end]
-        if entity.startswith("#x") or entity.startswith("#X"):
-            out.append(chr(int(entity[2:], 16)))
-        elif entity.startswith("#"):
-            out.append(chr(int(entity[1:])))
+        if entity.startswith("#"):
+            out.append(_char_ref(entity, offset + i))
         elif entity in _PREDEFINED_ENTITIES:
             out.append(_PREDEFINED_ENTITIES[entity])
         else:
@@ -572,7 +596,7 @@ class XmlLexer:
         would on the building path; values are never materialized
         unless an entity reference forces resolution."""
         text = self._buf
-        seen: list[str] = []
+        seen: set[str] = set()
         offset = self._base + match.start()
         for attr in _ATTR_RE.finditer(text, start, end):
             attr_name = attr.group(1)
@@ -582,7 +606,7 @@ class XmlLexer:
                     f"in <{match.group(1)}>",
                     offset,
                 )
-            seen.append(attr_name)
+            seen.add(attr_name)
         if text.find("&", start, end) != -1:
             for attr in _ATTR_RE.finditer(text, start, end):
                 value = attr.group(2)
@@ -691,7 +715,7 @@ class XmlLexer:
         attr_src = match.group(2)
         if attr_src:
             attrs = []
-            seen: list[str] = []
+            seen: set[str] = set()
             for attr in _ATTR_RE.finditer(attr_src):
                 attr_name = _intern(attr.group(1))
                 value = attr.group(2)
@@ -701,7 +725,7 @@ class XmlLexer:
                     raise XmlSyntaxError(
                         f"duplicate attribute {attr_name!r} in <{name}>", offset
                     )
-                seen.append(attr_name)
+                seen.add(attr_name)
                 if "&" in value:
                     value = self._resolve_entities(value, offset)
                 attrs.append((attr_name, value))

@@ -620,9 +620,10 @@ class ByteXmlLexer:
                 return -count
         return count
 
-    def skip_subtree(self) -> int:
+    def skip_subtree(self, levels: int = 1) -> int:
         """Fast-forward to (and through) the end tag of the innermost
-        open element; returns the number of significant tokens consumed.
+        open element — or of the *levels* innermost ones, outermost of
+        them last; returns the number of significant tokens consumed.
 
         The bytes-domain payoff lives here: a skipped subtree is pure
         ``bytes.find`` + tag validation.  Character data is decoded
@@ -643,8 +644,8 @@ class ByteXmlLexer:
             self._skip_parked = None
             target, count = parked
         else:
-            target = len(self._open_tags) - 1
-            if target < 0:
+            target = len(self._open_tags) - levels
+            if target < 0 or levels < 1:
                 raise ValueError("skip_subtree() requires an open element")
             count = 0
         tags = self._open_tags
@@ -842,7 +843,7 @@ class ByteXmlLexer:
         would on the building path; values are decoded only when an
         entity reference forces resolution."""
         text = self._buf
-        seen: list[bytes] = []
+        seen: set[bytes] = set()
         offset = self._base + match.start()
         for attr in _ATTR_RE_B.finditer(text, start, end):
             attr_name = attr.group(1)
@@ -853,7 +854,7 @@ class ByteXmlLexer:
                     f"in <{self._intern_name(match.group(1), match.start(1))}>",
                     offset,
                 )
-            seen.append(attr_name)
+            seen.add(attr_name)
         if text.find(b"&", start, end) != -1:
             for attr in _ATTR_RE_B.finditer(text, start, end):
                 raw = attr.group(2)
@@ -1021,7 +1022,7 @@ class ByteXmlLexer:
         astart, aend = match.span(2)
         if aend > astart:
             attrs = []
-            seen: list[str] = []
+            seen: set[str] = set()
             buf = self._buf
             for attr in _ATTR_RE_B.finditer(buf, astart, aend):
                 raw_name = attr.group(1)
@@ -1037,7 +1038,7 @@ class ByteXmlLexer:
                     raise XmlSyntaxError(
                         f"duplicate attribute {attr_name!r} in <{name}>", offset
                     )
-                seen.append(attr_name)
+                seen.add(attr_name)
                 try:
                     value = raw.decode("utf-8")
                 except UnicodeDecodeError:

@@ -28,6 +28,7 @@ Comparison operators: ``= != < <= > >=`` and the keyword forms
 
 from __future__ import annotations
 
+import functools
 import re
 
 from repro.xpath.ast import Path
@@ -39,6 +40,32 @@ _KEYWORD_CMP = {"eq": "=", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": "
 _AGGREGATE_FUNCS = ("count", "sum", "avg", "min", "max")
 
 _NAME_RE = re.compile(r"[\w.-]+")
+
+#: Cap on the recursive descent: every production that can recurse
+#: (expression, FLWOR/if branch, element constructor, condition) counts
+#: one level while it is active.  Past the cap the query is refused with
+#: a typed error and an offset, instead of Python's recursion limit
+#: surfacing as a ``RecursionError`` — here or in a later compile phase,
+#: all of which recurse over a tree no deeper than the parse.
+MAX_NESTING = 256
+
+
+def _recursive(production):
+    """Run *production* one nesting level deeper, under the cap."""
+
+    @functools.wraps(production)
+    def nested(self, *args):
+        self.depth += 1
+        try:
+            if self.depth > MAX_NESTING:
+                raise self.cur.error(
+                    f"query nests deeper than {MAX_NESTING} levels"
+                )
+            return production(self, *args)
+        finally:
+            self.depth -= 1
+
+    return nested
 
 # One or more /step or //step continuations; steps may carry an axis
 # prefix, an @ shorthand, a text()/node() test, a wildcard, and a [n]
@@ -142,8 +169,9 @@ class _Cursor:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, depth: int = 0):
         self.cur = _Cursor(text)
+        self.depth = depth
 
     # -- entry ---------------------------------------------------------
 
@@ -155,6 +183,7 @@ class _Parser:
 
     # -- expressions -----------------------------------------------------
 
+    @_recursive
     def parse_expr(self) -> q.Expr:
         items = [self.parse_single()]
         while self.cur.match(","):
@@ -163,6 +192,7 @@ class _Parser:
             return items[0]
         return q.Sequence(tuple(items))
 
+    @_recursive
     def parse_single(self) -> q.Expr:
         cur = self.cur
         if cur.peek_keyword("for"):
@@ -191,6 +221,7 @@ class _Parser:
         operand = self._parse_path_operand()
         return q.PathExpr(operand.var, operand.path)
 
+    @_recursive
     def _parse_for(self) -> q.ForExpr:
         cur = self.cur
         cur.expect_keyword("for")
@@ -205,6 +236,7 @@ class _Parser:
         body = self.parse_single()
         return q.ForExpr(var, source, body, where)
 
+    @_recursive
     def _parse_let(self) -> q.LetExpr:
         cur = self.cur
         cur.expect_keyword("let")
@@ -221,6 +253,7 @@ class _Parser:
         body = self.parse_single()
         return q.LetExpr(var, value, body)
 
+    @_recursive
     def _parse_if(self) -> q.IfExpr:
         cur = self.cur
         cur.expect_keyword("if")
@@ -259,6 +292,7 @@ class _Parser:
 
     # -- constructors ------------------------------------------------------
 
+    @_recursive
     def _parse_constructor(self) -> q.ElementConstructor:
         cur = self.cur
         cur.expect("<")
@@ -288,7 +322,7 @@ class _Parser:
         if not (stripped.startswith("{") and stripped.endswith("}")):
             return raw
         inner = stripped[1:-1]
-        sub = _Parser(inner)
+        sub = _Parser(inner, self.depth)
         operand = sub._parse_operand()
         if not sub.cur.at_end():
             raise sub.cur.error(
@@ -333,6 +367,7 @@ class _Parser:
 
     # -- conditions -------------------------------------------------------
 
+    @_recursive
     def parse_condition(self) -> q.Condition:
         left = self._parse_and_condition()
         while self.cur.match_keyword("or"):
@@ -347,6 +382,7 @@ class _Parser:
             left = q.And(left, right)
         return left
 
+    @_recursive
     def _parse_atom_condition(self) -> q.Condition:
         cur = self.cur
         if cur.match_keyword("not"):

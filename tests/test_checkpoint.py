@@ -20,6 +20,8 @@ import tempfile
 import pytest
 
 from repro.core.engine import GCXEngine
+from repro.core.program import CompiledEvaluator
+from repro.core.projector import CompiledStreamProjector, FusedStreamProjector
 from repro.core.session import SessionStateError, StreamSession
 from repro.core.snapshot import (
     FORMAT_VERSION,
@@ -246,13 +248,191 @@ class TestFreezeThaw:
             with pytest.raises(SessionStateError):
                 engine.session(QUERY, checkpointable=True)
 
-    def test_checkpointable_pins_table_tier(self, gcx, doc, reference):
-        # codegen/fused-lexer engines silently drop to the table tier
-        # for checkpointable sessions — results must not change
-        engine = GCXEngine(codegen=True, fused_lexer=True)
-        session = engine.session(QUERY, checkpointable=True)
-        session.feed(doc)
-        assert session.finish().output == reference.output
+    def test_checkpointable_runs_fused_projector(self, gcx, doc, reference):
+        # the fused front-end is freeze-safe and stays on; only the
+        # exec-generated evaluator (Kernel B) is left out, for the VM
+        session = gcx.session(QUERY, checkpointable=True)
+        assert type(session._projector) is FusedStreamProjector
+        assert type(session._evaluator) is CompiledEvaluator
+        data = doc.encode()
+        _feed_range(session, data, 0, len(data) // 2)
+        restored = gcx.restore_session(session.snapshot())
+        session.abort()
+        assert type(restored._projector) is FusedStreamProjector
+        assert type(restored._evaluator) is CompiledEvaluator
+        _feed_range(restored, data, len(data) // 2, len(data))
+        assert restored.finish().output == reference.output
+
+
+# ---------------------------------------------------------------------------
+# freeze differential: the fused projector tier
+# ---------------------------------------------------------------------------
+
+
+def _fingerprint(result):
+    s = result.stats
+    return (
+        result.output,
+        s.watermark,
+        s.series,
+        s.tokens,
+        s.subtrees_skipped,
+        s.roles_assigned,
+        s.roles_removed,
+        s.nodes_buffered,
+        s.nodes_purged,
+    )
+
+
+def _chunks(data: bytes, count: int) -> list[bytes]:
+    step = max(1, -(-len(data) // count))
+    return [data[i : i + step] for i in range(0, len(data), step)]
+
+
+def _restore_at_every_boundary(freezer, restorer, query, chunks):
+    """Snapshot → restore → finish at every chunk boundary; returns the
+    fingerprints plus, per freeze that parked a subtree skip, whether
+    the skip spanned several open levels and whether it closes a
+    buffered node."""
+    prints = []
+    parks = []
+    for cut in range(len(chunks) + 1):
+        session = freezer.session(query, checkpointable=True)
+        for chunk in chunks[:cut]:
+            session.feed(chunk)
+        try:
+            session.freeze()
+        except SessionStateError:  # all input consumed: nothing to park
+            prints.append(_fingerprint(session.finish()))
+            continue
+        lexer = session._lexer
+        pending = session._projector._pending_skip
+        if pending is not None:
+            parks.append((
+                lexer._skip_parked[0] < len(lexer._open_tags) - 1,
+                pending[0] is not None,
+            ))
+        blob = session.snapshot()  # frozen: encodes in place
+        session.abort()
+        restored = restorer.restore_session(blob)
+        for chunk in chunks[cut:]:
+            restored.feed(chunk)
+        prints.append(_fingerprint(restored.finish()))
+    return prints, parks
+
+
+#: q1 (certified alphabet) over a document whose ``<name>`` children of
+#: ``<site>`` are live-alphabet starts the DFA sends dead with in-
+#: alphabet descendants queued behind them — the drain skip that
+#: finishes several open levels with one lexer call.
+_DRAIN_DOC = (
+    b"<site><people>"
+    + b"".join(
+        b'<person id="person%d"><name>P%d</name></person>' % (i, i)
+        for i in range(3)
+    )
+    + b"</people>"
+    + b"".join(
+        b"<name><people><person><name>d%d</name><person><name>e</name>"
+        b"</person></person><junk>j</junk></people><site/></name>" % i
+        for i in range(6)
+    )
+    + b'<people><person id="person0"><name>late</name></person></people>'
+    + b"</site>"
+)
+
+#: q20 reads ``$p/profile/@income``: ``<profile>`` is buffered for its
+#: role while every child is dead, so its drain skip closes a node.
+_PROFILE_DOC = (
+    b"<site><people>"
+    + b"".join(
+        b'<person id="person%d"><name>P%d</name><profile income="%d">'
+        b'<interest category="c"><deep><deeper/></deep></interest>'
+        b"<education>Graduate</education><age>3%d</age></profile></person>"
+        % (i, i, 20000 * i, i)
+        for i in range(8)
+    )
+    + b"</people></site>"
+)
+
+
+class TestFusedFreezeDifferential:
+    # q1 is certified; q6, q13 and q20 are not, and q20's <profile>
+    # is a buffered start (it carries the @income role) whose children
+    # are all dead — a drain skip that must close its node
+    @pytest.mark.parametrize("key", ["q1", "q6", "q13", "q20"])
+    def test_every_chunk_boundary_is_byte_identical(self, gcx, doc, key):
+        query = ADAPTED_QUERIES[key].text
+        chunks = _chunks(doc.encode(), 24)
+        plan = gcx.compile(query)
+        assert plan.kernels.lexer.certified == (key == "q1")
+        expected = _fingerprint(gcx.run(plan, doc.encode()))
+        prints, _ = _restore_at_every_boundary(gcx, gcx, query, chunks)
+        for cut, got in enumerate(prints):
+            assert got == expected, (key, cut)
+
+    @pytest.mark.parametrize(
+        "key, document", [("q1", _DRAIN_DOC), ("q20", _PROFILE_DOC)]
+    )
+    def test_freeze_inside_the_in_queue_drain_skip(self, gcx, key, document):
+        # small chunks put boundaries inside every dead subtree
+        query = ADAPTED_QUERIES[key].text
+        chunks = _chunks(document, len(document) // 9)
+        expected = _fingerprint(gcx.run(gcx.compile(query), document))
+        prints, parks = _restore_at_every_boundary(gcx, gcx, query, chunks)
+        assert (True, key == "q20") in parks
+        for cut, got in enumerate(prints):
+            assert got == expected, cut
+
+    @pytest.mark.parametrize("direction", ["fused_to_tables", "tables_to_fused"])
+    def test_blobs_cross_between_tiers(self, gcx, direction):
+        tables = GCXEngine(codegen=False)
+        freezer, restorer = (
+            (gcx, tables) if direction == "fused_to_tables" else (tables, gcx)
+        )
+        assert type(
+            freezer.session(QUERY, checkpointable=True)._projector
+        ) is (FusedStreamProjector if freezer is gcx else CompiledStreamProjector)
+        chunks = _chunks(_DRAIN_DOC, len(_DRAIN_DOC) // 13)
+        expected = _fingerprint(gcx.run(gcx.compile(QUERY), _DRAIN_DOC))
+        prints, parks = _restore_at_every_boundary(
+            freezer, restorer, QUERY, chunks
+        )
+        assert parks
+        for cut, got in enumerate(prints):
+            assert got == expected, cut
+
+    def test_snapshot_refused_while_events_are_queued(self, gcx):
+        from repro.core.buffer import Buffer
+        from repro.xmlio.lexer_bytes import ByteXmlLexer
+
+        plan = gcx.compile(QUERY)
+        buffer = Buffer()
+        projector = FusedStreamProjector(
+            plan.kernels.lexer, ByteXmlLexer(_DRAIN_DOC), buffer
+        )
+        projector.advance()  # one event dispatched, the batch queued
+        with pytest.raises(SessionStateError, match="queued"):
+            projector.snapshot_state()
+        projector.run_to_end()
+        assert projector.snapshot_state()["exhausted"]
+
+    def test_snapshot_refused_while_an_error_is_pending(self, gcx):
+        from repro.core.buffer import Buffer
+        from repro.xmlio.errors import XmlSyntaxError
+        from repro.xmlio.lexer_bytes import ByteXmlLexer
+
+        plan = gcx.compile(QUERY)
+        lexer = ByteXmlLexer(
+            b'<site><people><person id="p"><name>x</name></oops>'
+        )
+        projector = FusedStreamProjector(plan.kernels.lexer, lexer, Buffer())
+        for _ in range(6):  # the six events queued ahead of the error
+            assert projector.advance()
+        with pytest.raises(SessionStateError, match="pending error"):
+            projector.snapshot_state()
+        with pytest.raises(XmlSyntaxError):
+            projector.advance()
 
 
 # ---------------------------------------------------------------------------

@@ -90,10 +90,10 @@ class TestKernelGeneration:
             # fusible root state
             assert plan.kernels.lexer is not None, adapted.key
             assert plan.kernels.kernel_count == 3
+            # Kernel C is plain code: it adds no generated source
             assert plan.kernels.source_chars == (
                 len(plan.kernels.projector.source)
                 + len(plan.kernels.evaluator.source)
-                + len(plan.kernels.lexer.source)
             )
 
     def test_differential_query_pool_generates(self):
@@ -167,24 +167,37 @@ class TestLexerKernel:
         assert kernel.certified
         assert kernel.live_tags == ("name", "people", "person", "site")
         assert kernel.probed_states >= 2
-        compile(kernel.source, "<lexer>", "exec")
+        assert kernel.dfa is plan.dfa
+
+    @staticmethod
+    def _tail_names_seen_by_dfa(key):
+        """Run *key* through the fused projector over a document with
+        an out-of-alphabet subtree under ``<site>``; return whether the
+        DFA ever saw the dead name (a fresh engine, so a fresh memo)."""
+        engine = GCXEngine()
+        plan = engine.compile(ADAPTED_QUERIES[key].text)
+        engine.run(plan, b"<site><junk><deeper>x</deeper></junk></site>")
+        return any("junk" in memo for memo in plan.dfa._element_memo)
+
+    def test_certified_tail_skips_without_a_dfa_transition(self):
+        """The flagged batch tail of a certified plan is bulk-skipped
+        on the certificate alone: the dead name never reaches the
+        DFA."""
+        assert not self._tail_names_seen_by_dfa("q1")
 
     def test_subtree_copy_plans_fuse_uncertified(self):
         """A trailing ``descendant-or-self::node()`` copy role keeps
-        unknown tags live *inside* the copied subtree, so the baked
-        fast-tail skip is unsound there.  The kernel is still
-        generated — every out-of-alphabet start simply dispatches
-        through the shared DFA, which decides dead vs live per state.
+        unknown tags live *inside* the copied subtree, so the fast-tail
+        skip is unsound there.  The plan still fuses — every
+        out-of-alphabet start simply dispatches through the shared DFA,
+        which decides dead vs live per state.
         """
         for key in ("q8", "q13", "q20"):
             plan = GCXEngine().compile(ADAPTED_QUERIES[key].text)
             kernel = plan.kernels.lexer
             assert kernel is not None, key
             assert not kernel.certified, key
-            # the baked fast-tail branch must not appear uncertified
-            assert "tail_dead and qi == qlen" not in kernel.source, key
-        certified = GCXEngine().compile(ADAPTED_QUERIES["q1"].text)
-        assert "tail_dead and qi == qlen" in certified.kernels.lexer.source
+            assert self._tail_names_seen_by_dfa(key), key
 
     def test_descendant_at_root_declines(self):
         """When unknown tags stay live in the start state the fused

@@ -55,6 +55,36 @@ class TestWideDocuments:
         result = GCXEngine().query('for $e in /r/e return $e/@a299', xml)
         assert result.output == "299"
 
+    @pytest.mark.parametrize("mode", ["pull_bytes", "pull_str", "push"])
+    def test_attribute_count_is_linear(self, mode):
+        # the duplicate-attribute check must not be quadratic: 4x the
+        # attributes on one start tag (built, and inside a skipped
+        # subtree) may cost at most 8x the time
+        import time
+
+        engine = GCXEngine()
+        plan = engine.compile("for $e in /r/e return $e/@a0")
+
+        def run(k):
+            attrs = " ".join(f'a{i}="{i}"' for i in range(k))
+            xml = f"<r><e {attrs}>t</e><s><e {attrs}/></s></r>"
+            data = xml if mode == "pull_str" else xml.encode()
+            best = float("inf")
+            for _ in range(3):
+                started = time.perf_counter()
+                if mode == "push":
+                    session = engine.session(plan)
+                    session.feed(data)
+                    result = session.finish()
+                else:
+                    result = engine.run(plan, data)
+                best = min(best, time.perf_counter() - started)
+                assert result.output == "0"
+            return best
+
+        k = 2500
+        assert run(4 * k) <= 8 * run(k)
+
 
 class TestMalformedInputSurfacesMidStream:
     def test_mismatched_tag_raises_during_evaluation(self):

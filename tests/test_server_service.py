@@ -94,6 +94,32 @@ class TestErrors:
             # Still usable afterwards.
             assert client.stats()["sessions"]["opened"] >= 0
 
+    def test_deeply_nested_query_rejected_at_open(self, server, xmark_small, q1_expected):
+        # past the parser's nesting cap: a typed refusal, and the same
+        # connection goes on to serve the next query
+        with _connect(server) as client:
+            with pytest.raises(ServerError, match="XQueryParseError"):
+                client.open("(" * 1000 + "/a" + ")" * 1000)
+            with pytest.raises(ServerError, match="XQueryParseError"):
+                client.open("<a>{" * 600 + "/a" + "}</a>" * 600)
+            assert client.run_query(Q1, xmark_small).output == q1_expected
+
+    def test_any_compile_failure_gets_error_frame(
+        self, server, monkeypatch, xmark_small, q1_expected
+    ):
+        compile_query = GCXEngine.compile
+
+        def failing(engine, text):
+            if "boom" in text:
+                raise RecursionError("maximum recursion depth exceeded")
+            return compile_query(engine, text)
+
+        monkeypatch.setattr(GCXEngine, "compile", failing)
+        with _connect(server) as client:
+            with pytest.raises(ServerError, match="RecursionError"):
+                client.open("for $x in /boom return $x")
+            assert client.run_query(Q1, xmark_small).output == q1_expected
+
     def test_invalid_utf8_open_payload_gets_error_frame(self, server):
         """Garbage bytes in OPEN must answer ERROR, not drop the link."""
         import socket

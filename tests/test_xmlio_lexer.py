@@ -104,6 +104,69 @@ class TestEntitiesAndCdata:
         assert tokens[1].content == "<not> & markup"
 
 
+#: character references at the edges of XML's ``Char`` production and
+#: of the ``CharRef`` syntax; the verdict of each is expat's
+_CHAR_REFS = (
+    "&#65;",
+    "&#x41;",
+    "&#9;",
+    "&#x10FFFF;",
+    "&#0000065;",
+    "&#0;",
+    "&#xD800;",
+    "&#xFFFE;",
+    "&#x110000;",
+    "&#xZZ;",
+    "&#X41;",
+    "&#+65;",
+    "&#99999999999999999999;",
+)
+
+
+def _expat_text(document):
+    """Character data of *document* per stdlib expat, or None when
+    expat refuses it."""
+    import xml.parsers.expat
+
+    parser = xml.parsers.expat.ParserCreate()
+    parts = []
+    parser.CharacterDataHandler = parts.append
+    try:
+        parser.Parse(document, True)
+    except xml.parsers.expat.ExpatError:
+        return None
+    return "".join(parts)
+
+
+class TestCharacterReferences:
+    @pytest.mark.parametrize("ref", _CHAR_REFS)
+    @pytest.mark.parametrize("domain", ["str", "bytes"])
+    def test_verdict_matches_expat(self, ref, domain):
+        from repro.core.engine import GCXEngine
+
+        expected = _expat_text(f"<r>{ref}</r>")
+        engine = GCXEngine()
+        documents = {
+            # tokenized text, an attribute value, and text inside a
+            # subtree the projector skips without building tokens
+            "text": (f"<r><a>{ref}</a></r>", "for $a in /r/a return $a/text()"),
+            "attr": (f'<r><a v="{ref}"/></r>', "for $a in /r/a return $a/@v"),
+            "skipped": (f"<r><b>x{ref}</b><a>k</a></r>", "for $a in /r/a return $a/text()"),
+        }
+        for context, (document, query) in documents.items():
+            source = document if domain == "str" else document.encode()
+            plan = engine.compile(query)
+            if expected is None:
+                with pytest.raises(XmlSyntaxError) as excinfo:
+                    engine.run(plan, source)
+                assert excinfo.value.offset is not None, context
+            else:
+                output = engine.run(plan, source).output
+                if context != "skipped" and expected.strip():
+                    # (whitespace-only text is dropped by policy)
+                    assert output == expected, context
+
+
 class TestSkippedMarkup:
     def test_comment_skipped(self):
         assert kinds("<a><!-- comment --></a>") == [TokenKind.START, TokenKind.END]

@@ -210,3 +210,42 @@ class TestErrors:
     def test_condition_requires_operator_after_literal(self):
         with pytest.raises(XQueryParseError):
             parse_query('if ("lonely") then <y/> else ()')
+
+
+class TestNestingCap:
+    """Deep nesting is refused with a typed error and an offset, never a
+    ``RecursionError`` from the parser or any later compile phase."""
+
+    SHAPES = {
+        "parens": lambda n: "(" * n + "/a" + ")" * n,
+        "constructor": lambda n: "<a>{" * n + "/a" + "}</a>" * n,
+        "bare_constructor": lambda n: "<a>" * n + "</a>" * n,
+        "if": lambda n: "if (/a) then " * n + "/a" + " else ()" * n,
+        "not": lambda n: "if (" + "not(" * n + "/a" + ")" * n + ") then /a else ()",
+        "for": lambda n: "".join(
+            f"for $v{i} in /a return " for i in range(n)
+        ) + "$v0",
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("depth", [600, 1000])
+    def test_deep_query_refused(self, shape, depth):
+        with pytest.raises(XQueryParseError, match="nests deeper") as excinfo:
+            parse_query(self.SHAPES[shape](depth))
+        assert excinfo.value.offset is not None
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_deepest_accepted_query_compiles(self, shape):
+        from repro.core.engine import GCXEngine
+        from repro.xquery.parser import MAX_NESTING
+
+        build = self.SHAPES[shape]
+        depth = MAX_NESTING
+        while True:  # the deepest instance of the shape the cap admits
+            try:
+                parse_query(build(depth))
+                break
+            except XQueryParseError:
+                depth -= 1
+        assert depth >= MAX_NESTING // 4
+        GCXEngine().compile(build(depth))
