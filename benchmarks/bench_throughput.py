@@ -29,7 +29,6 @@ import pytest
 from repro.bench.harness import run_chunked
 from repro.bench.reporting import merge_bench_json, throughput_entry
 from repro.core.buffer import Buffer
-from repro.core.codegen import GeneratedStreamProjector
 from repro.core.engine import GCXEngine
 from repro.core.matcher import PathDFA, PathMatcher
 from repro.core.projector import CompiledStreamProjector, StreamProjector
@@ -53,8 +52,8 @@ def _record(name: str, seconds: float, input_bytes: int, peak_buffer: int) -> No
 
 def _paired_best(fn_a, fn_b, rounds: int = 11) -> tuple[float, float]:
     """Best-of-*rounds* for two callables, timed interleaved in one
-    window with the cyclic GC paused, so the codegen/tables gate pairs
-    compare numbers from the same scheduler/thermal conditions and a
+    window with the cyclic GC paused, so the gate pairs compare
+    numbers from the same scheduler/thermal conditions and a
     collection pause cannot land on only one side's rounds."""
     best_a = best_b = float("inf")
     was_enabled = gc.isenabled()
@@ -242,7 +241,7 @@ def test_lexer_bytes_fused_throughput(benchmark, document):
     real margin.  The CI gate holds the pair at a 0.85 floor while
     the ``skipped`` assertion below pins that pruning actually
     happened.  Both entries are recorded from one paired interleaved
-    loop (the same discipline as the codegen pairs), the plain side
+    loop (the same discipline as the codegen pair), the plain side
     replacing the sequentially-timed number of
     ``test_lexer_bytes_event_fast_path_throughput``."""
     data = document.encode("utf-8")
@@ -352,44 +351,6 @@ def test_projector_dfa_selective_path(benchmark, document):
     _record_benchmark(benchmark, run, "projector_dfa", len(document), 0)
 
 
-def test_projector_q1_codegen_throughput(benchmark, document):
-    """The generated projector kernel (DESIGN.md §12) against the
-    table-driven kernel it was generated from, on XMark Q1's real path
-    set over raw bytes.  This is the stage where specialization
-    shows, and the CI gate holds projector_q1_codegen against
-    projector_q1_tables, so both entries are recorded from one paired
-    interleaved loop (two sequentially-timed tests would hand the
-    gate numbers from different scheduler windows)."""
-    data = document.encode("utf-8")
-    engine = GCXEngine(record_series=False)
-    plan = engine.compile(ADAPTED_QUERIES["q1"].text)
-    assert plan.kernels is not None and plan.kernels.projector is not None
-
-    def run_tables():
-        buffer = Buffer()
-        buffer.stats.record_series = False
-        CompiledStreamProjector(make_lexer(data), plan.dfa, buffer).run_to_end()
-        return buffer.stats
-
-    def run_codegen():
-        buffer = Buffer()
-        buffer.stats.record_series = False
-        GeneratedStreamProjector(
-            plan.kernels.projector, make_lexer(data), plan.dfa, buffer
-        ).run_to_end()
-        return buffer.stats
-
-    stats = benchmark.pedantic(run_codegen, rounds=3, iterations=1)
-    reference = run_tables()
-    assert stats.tokens == reference.tokens
-    assert stats.watermark == reference.watermark
-    assert stats.subtrees_skipped == reference.subtrees_skipped
-
-    best_codegen, best_tables = _paired_best(run_codegen, run_tables)
-    _record("projector_q1_codegen", best_codegen, len(data), stats.watermark)
-    _record("projector_q1_tables", best_tables, len(data), reference.watermark)
-
-
 def test_projector_subtree_heavy_path(benchmark, document):
     """A subtree path buffers (and materializes) most of the document."""
     paths = [
@@ -485,12 +446,11 @@ def test_engine_q1_compiled_bytes_throughput(benchmark, document):
 
 
 def test_engine_q1_codegen_throughput(benchmark, document):
-    """The per-plan generated-code kernels (DESIGN.md §12) at the
-    engine's default tier — which, for bytes input, now includes the
-    fused batch-scan lexer front-end of DESIGN.md §15: the same bytes
-    workload as ``engine_q1_compiled_bytes``, run through the
-    exec-compiled specializations instead of the table-driven
-    interpreters they were generated from.  Byte-identical
+    """The per-plan kernels at the engine's default tier — for bytes
+    input the fused batch-scan lexer front-end (DESIGN.md §15) and the
+    generated evaluator (DESIGN.md §12): the same bytes workload as
+    ``engine_q1_compiled_bytes``, run through the specializations
+    instead of the DFA tables and the VM.  Byte-identical
     output AND an identical buffering profile (watermark, token count)
     to the table tier — specialization must never change what is
     buffered, only how fast the loop dispatches.
@@ -503,7 +463,8 @@ def test_engine_q1_codegen_throughput(benchmark, document):
     engine = GCXEngine(record_series=False)
     compiled = engine.compile(ADAPTED_QUERIES["q1"].text)
     assert compiled.kernels is not None
-    assert compiled.kernels.projector is not None
+    assert compiled.kernels.lexer is not None
+    assert compiled.kernels.evaluator is not None
     oracle = GCXEngine(record_series=False, codegen=False)
     table_plan = oracle.compile(ADAPTED_QUERIES["q1"].text)
 

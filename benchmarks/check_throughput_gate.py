@@ -27,27 +27,22 @@ the machinery it exists to replace:
   and ``bench_throughput.py`` separately asserts the fused drain
   actually *skipped* (a fused path that silently stops skipping
   stays at parity here and would pass this ratio);
-* ``projector_q1_codegen`` (the generated projector kernel,
-  DESIGN.md §12) vs ``projector_q1_tables`` (the table-driven kernel
-  it was generated from, same path set and bytes input) — the stage
-  where specialization shows;
-* ``engine_q1_codegen`` vs ``engine_q1_compiled_bytes`` — the same
-  comparison end to end;
+* ``engine_q1_codegen`` (the per-plan kernels: fused front-end and
+  generated evaluator, DESIGN.md §12, §15) vs ``engine_q1_compiled_bytes``
+  (the DFA tables and the VM) — end to end;
 * ``server_8queries_shared`` (8 distinct queries multiplexed over one
   published stream, DESIGN.md §13) vs ``server_8queries_independent``
   (the 8 separate sessions they replace) — the shared lex+project
   pass must keep its fan-out win.
 
-The two codegen pairs carry tolerance floors (0.9 per-stage, 0.85
-end to end) instead of a strict ``>=``: on Q1 the tokenizer's
-``skip_subtree`` is the ceiling, so the generated kernels' margin
-(~10% at the projector stage in a quiet window, ~0 at engine level)
-is smaller than the run-to-run timing noise of a shared machine —
-even with both sides of a pair measured interleaved in one
-GC-paused window, a strict gate flaps.  The floors still catch the
-regression class they exist for: a generated kernel silently
-falling off its fast path (back to memo dicts, or to the
-interpreter) costs far more than 5–15%.
+The codegen pair carries a tolerance floor (0.85) instead of a
+strict ``>=``: on Q1 the tokenizer's ``skip_subtree`` is the
+ceiling, so the kernels' margin at engine level is smaller than the
+run-to-run timing noise of a shared machine — even with both sides
+of the pair measured interleaved in one GC-paused window, a strict
+gate flaps.  The floor still catches the regression class it exists
+for: a kernel silently falling off its fast path (back to the
+interpreter) costs far more than 15%.
 
 ``lexer_bytes`` additionally carries an **absolute** floor
 (:data:`MIN_LEXER_BYTES_MB_S`): the batch-scan rewrite (§15) holds
@@ -103,7 +98,6 @@ GATED_PAIRS = (
     ("evaluator_vm", "evaluator_interp", 1.0),
     ("lexer_bytes", "lexer_events", 1.0),
     ("lexer_bytes_fused", "lexer_bytes", 0.85),
-    ("projector_q1_codegen", "projector_q1_tables", 0.9),
     ("engine_q1_codegen", "engine_q1_compiled_bytes", 0.85),
     ("server_8queries_shared", "server_8queries_independent", 2.7),
 )

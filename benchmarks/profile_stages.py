@@ -16,10 +16,10 @@ consecutive rows approximate each layer's own cost:
   before the bytes path, minus the wire decode it also needed)
 
 ``--kernel`` selects which kernel tier the projector/engine stages
-run: the table-driven interpreters (``tables``), the per-plan
-generated code of DESIGN.md §12 with the per-event lexer pull
-(``codegen``), the fused batch-scan lexer front-end of DESIGN.md §15
-(``fused``), or — the default — ``both``, which emits one row per
+run: the table-driven interpreters (``tables``), the DFA tables with
+the generated evaluator of DESIGN.md §12 (``codegen``), the fused
+batch-scan lexer front-end of DESIGN.md §15 with the generated
+evaluator (``fused``), or — the default — ``both``, which emits one row per
 variant (``projector:tables`` next to ``projector:codegen`` and
 ``projector:fused``) so each tier's margin is itself a per-stage
 attribution.
@@ -42,12 +42,12 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import dataclasses
 import pstats
 import time
 
 from repro.bench.reporting import format_table
 from repro.core.buffer import Buffer
-from repro.core.codegen import GeneratedStreamProjector
 from repro.core.engine import GCXEngine
 from repro.core.projector import CompiledStreamProjector, FusedStreamProjector
 from repro.xmark.generator import generate_document
@@ -140,10 +140,6 @@ def build_stages(scale: float, query_key: str, kernel: str = "both"):
                 FusedStreamProjector(
                     plan.kernels.lexer, lexer, buffer
                 ).run_to_end()
-            elif variant == "codegen":
-                GeneratedStreamProjector(
-                    plan.kernels.projector, lexer, plan.dfa, buffer
-                ).run_to_end()
             else:
                 CompiledStreamProjector(lexer, plan.dfa, buffer).run_to_end()
             return buffer.stats.tokens
@@ -158,18 +154,16 @@ def build_stages(scale: float, query_key: str, kernel: str = "both"):
         lambda name, _v: name
     )
     for variant in variants:
-        use_codegen = variant != "tables"
-        engine = GCXEngine(
-            record_series=False,
-            codegen=use_codegen,
-            fused_lexer=variant == "fused",
-        )
+        engine = GCXEngine(record_series=False, codegen=variant != "tables")
         plan = engine.compile(ADAPTED_QUERIES[query_key].text)
-        if variant == "codegen" and (
-            plan.kernels is None or plan.kernels.projector is None
-        ):
-            raise SystemExit(
-                f"query {query_key} has no generated projector kernel"
+        if variant == "codegen":
+            if plan.kernels is None or plan.kernels.evaluator is None:
+                raise SystemExit(
+                    f"query {query_key} has no generated evaluator kernel"
+                )
+            # the DFA tables + Kernel B: drop the fused front-end's data
+            plan = dataclasses.replace(
+                plan, kernels=dataclasses.replace(plan.kernels, lexer=None)
             )
         if variant == "fused" and (
             plan.kernels is None or plan.kernels.lexer is None
@@ -215,9 +209,9 @@ def main(argv=None) -> int:
         default="both",
         choices=("tables", "codegen", "fused", "both"),
         help="kernel tier for the projector/engine stages: the "
-        "table-driven interpreters, the generated per-plan code with "
-        "per-event lexing, the fused batch-scan lexer front-end, or "
-        "one row per tier (default)",
+        "table-driven interpreters, the DFA tables with the generated "
+        "evaluator, the fused batch-scan lexer front-end, or one row "
+        "per tier (default)",
     )
     parser.add_argument(
         "--cprofile",

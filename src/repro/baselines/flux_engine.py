@@ -101,7 +101,6 @@ class FluxLikeEngine(GCXEngine):
         compiled: bool = True,
         compiled_eval: bool = True,
         codegen: bool = True,
-        fused_lexer: bool = True,
     ):
         # Schema knowledge enables the scope-based release; without a
         # DTD the engine cannot prove any scope complete and keeps the
@@ -114,7 +113,6 @@ class FluxLikeEngine(GCXEngine):
             compiled=compiled,
             compiled_eval=compiled_eval,
             codegen=codegen,
-            fused_lexer=fused_lexer,
         )
         self.dtd = dtd
 

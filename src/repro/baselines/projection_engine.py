@@ -32,7 +32,6 @@ class ProjectionOnlyEngine(GCXEngine):
         compiled: bool = True,
         compiled_eval: bool = True,
         codegen: bool = True,
-        fused_lexer: bool = True,
     ):
         super().__init__(
             gc_enabled=False,
@@ -42,5 +41,4 @@ class ProjectionOnlyEngine(GCXEngine):
             compiled=compiled,
             compiled_eval=compiled_eval,
             codegen=codegen,
-            fused_lexer=fused_lexer,
         )

@@ -4,7 +4,7 @@ profile buffer behaviour, generate workloads.
 Subcommands::
 
     gcx run QUERY.xq INPUT.xml [--engine gcx] [--stats] [--chunk-size N]
-            [--interpreted] [--no-codegen] [--no-fused-lexer]
+            [--interpreted] [--no-codegen]
     gcx multiplex INPUT.xml -q Q1.xq -q Q2.xq ... [--stats]
     gcx explain QUERY.xq
     gcx profile QUERY.xq INPUT.xml [--width 72] [--height 16]
@@ -84,22 +84,20 @@ def _make_engine(
     name: str,
     interpreted: bool = False,
     codegen: bool = True,
-    fused_lexer: bool = True,
 ):
     """Build the chosen engine; *interpreted* selects the oracle pair
     ``compiled=False, compiled_eval=False`` (interpreting NFA projector
     + interpreting pull evaluator) on the GCX-family engines for A/B
-    runs against the compiled kernels — it bypasses the generated-code
-    kernels with them.  *codegen* = False keeps the compiled table
-    kernels but disables the per-plan generated code (DESIGN.md §12);
-    *fused_lexer* = False keeps the generated kernels but feeds them
-    per-event instead of through the fused batch lexer front-end
-    (DESIGN.md §15).  The DOM baseline has none of these tiers, so the
-    flags are no-ops there."""
+    runs against the compiled kernels — it bypasses the per-plan
+    kernels with them.  *codegen* = False keeps the DFA tables and the
+    VM but disables the per-plan kernels: the fused lexer front-end
+    (DESIGN.md §15) and the generated evaluator (DESIGN.md §12).  The
+    DOM baseline has none of these tiers, so the flags are no-ops
+    there."""
     toggles = (
         {"compiled": False, "compiled_eval": False}
         if interpreted
-        else {"codegen": codegen, "fused_lexer": fused_lexer}
+        else {"codegen": codegen}
     )
     if name == "gcx":
         return GCXEngine(**toggles)
@@ -142,7 +140,6 @@ def _cmd_run(args) -> int:
         args.engine,
         interpreted=args.interpreted,
         codegen=args.codegen,
-        fused_lexer=args.fused_lexer,
     )
     # GCX-family sessions emit results incrementally to stdout; the
     # DOM baseline has no streaming output, so its result is printed
@@ -388,17 +385,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-codegen",
         dest="codegen",
         action="store_false",
-        help="keep the compiled table kernels but disable the per-plan "
-        "generated-code kernels, for A/B runs; output is byte-identical "
-        "(--interpreted bypasses codegen implicitly)",
-    )
-    run.add_argument(
-        "--no-fused-lexer",
-        dest="fused_lexer",
-        action="store_false",
-        help="keep the generated kernels but feed the projector "
-        "per-event instead of through the fused batch lexer front-end, "
-        "for A/B runs; output is byte-identical",
+        help="keep the DFA tables and the VM but disable the per-plan "
+        "kernels (fused lexer front-end, generated evaluator), for A/B "
+        "runs; output is byte-identical (--interpreted bypasses them "
+        "implicitly)",
     )
     run.add_argument(
         "--chunk-size",

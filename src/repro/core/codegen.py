@@ -1,32 +1,18 @@
-"""Per-plan generated-code kernels: the hot loops as specialized source.
+"""Per-plan kernels: the generated evaluator and the fused front-end's
+plan data.
 
-PRs 3-5 compiled the pipeline into *table-driven* interpreters: the
-projector walks a memoized lazy-DFA table and the evaluator dispatches
-a flat operator program.  Both still pay, on every single token, for
-work that is **constant for a given plan** — the memo-dict lookup and
-entry unpacking in the projector, the opcode fetch/decode loop in the
-VM.  This module removes that residue by *generating Python source*
+The compiled tiers (DESIGN.md §9, §10) are *table-driven*
+interpreters: the projector walks a memoized lazy-DFA table and the
+evaluator dispatches a flat operator program.  The VM still pays, on every operator, for
+work that is **constant for a given plan** — the opcode fetch/decode
+loop.  This module removes that residue by *generating Python source*
 specialized to one plan, ``compile()``/``exec()``-ing it exactly once
-at plan-compile time, and caching the resulting kernels on the
+at plan-compile time, and caching the result on the
 :class:`~repro.core.plan.QueryPlan` next to ``dfa``/``program`` (so
-the plan cache's single-flight and eviction rules cover them for
-free).  The idea is the classic grammar→generated-parser move (cf. the
+the plan cache's single-flight and eviction rules cover it for free).
+The idea is the classic grammar→generated-parser move (cf. the
 generated XPath parser in twisted's ``xpathparser.g``), applied to the
 paper's compile-once/stream-many architecture.
-
-**Kernel A — the projector** (:func:`generate_projector_kernel`): the
-plan's projection paths mention a closed set of tag names, so the DFA
-reachable over those tags is finite and computable at generation time.
-The generator pre-warms the shared :class:`~repro.core.matcher.PathDFA`
-memo over exactly that tag set and emits an ``advance()`` closure whose
-state dispatch is an if/elif chain over the warmed states with every
-transition — child state, parent adjustment, role counts, and crucially
-the *skip-subtree decision* — baked in as constants.  Unseen
-``(state, tag)`` pairs fall through to the shared memo dicts (and the
-lazy NFA derivation on a memo miss), so the generated code stays valid
-as the memo grows at runtime: baked constants never change because memo
-entries are derived deterministically from the immutable path set and
-are append-only (DESIGN.md §9's logical-immutability argument).
 
 **Kernel B — the evaluator** (:func:`generate_evaluator_kernel`): the
 flat op tuple of :class:`~repro.core.program.OperatorProgram` came out
@@ -48,11 +34,11 @@ module only computes its plan data — the closed tag alphabet fused
 into the lexer's batch scan, certified against the oracle NFA — and
 declines plans whose root keeps unknown tags live.
 
-All kernels are *optional tiers*: any generation failure (or a plan
+Both kernels are *optional tiers*: any generation failure (or a plan
 shape outside the generator's reach) yields ``None`` and the engine
-silently runs the table-driven kernels instead — the fallback ladder
-is codegen → tables → interpreter, each level a byte-identical oracle
-for the one above (enforced by the differential suites).
+silently runs the table-driven tier instead — each tier is a
+byte-identical oracle for the one above (enforced by the differential
+suites).
 
 This module is the **only** place in the repository allowed to call
 ``exec``/``compile`` (a lint rule and a test pin that down).
@@ -62,7 +48,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.buffer import Buffer, BufferNode
 from repro.core.evaluator import EvaluationError, format_number
 from repro.core.matcher import PathDFA
 from repro.core.program import (
@@ -85,27 +70,21 @@ from repro.core.program import (
     OP_SIGNOFF,
     OperatorProgram,
 )
-from repro.core.stats import BufferStats
 
 __all__ = [
     "CodegenError",
     "CodegenEvaluator",
     "EvaluatorKernel",
-    "GeneratedStreamProjector",
     "LexerKernel",
     "PlanKernels",
-    "ProjectorKernel",
     "generate_evaluator_kernel",
     "generate_lexer_kernel",
     "generate_plan_kernels",
-    "generate_projector_kernel",
 ]
 
-#: Baked dispatch stays readable (and the if/elif chains short) only
-#: while the warmed state space is small; plans whose projection paths
-#: reach more states than this keep the warmed memo but dispatch every
-#: state through the generic fall-through branch.
-MAX_BAKED_STATES = 48
+#: The certification walk stops enumerating the DFA closure past this
+#: many states: the plan still fuses, uncertified (per-tag dispatch).
+MAX_CERTIFIED_STATES = 192
 
 
 class CodegenError(Exception):
@@ -116,26 +95,6 @@ class CodegenError(Exception):
 # ---------------------------------------------------------------------------
 # kernel containers
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProjectorKernel:
-    """One generated projector ``advance`` loop, plan-owned.
-
-    ``factory(projector) -> (advance, run_to_end)`` binds the generated
-    closure to one session's mutable runtime state; ``source`` is the
-    exact text that was compiled (observability: the server STATS frame
-    reports the footprint, and the differential tests print it on
-    mismatch).  The kernel is only valid against ``dfa`` — the memo
-    dicts and transition constants of that specific object are baked
-    into the source.
-    """
-
-    factory: object
-    source: str
-    dfa: PathDFA
-    baked_states: int
-    baked_transitions: int
 
 
 @dataclass(frozen=True)
@@ -158,7 +117,8 @@ class LexerKernel:
     :class:`~repro.core.projector.FusedStreamProjector`: ``live_tags``
     is the closed tag alphabet fused into the scan; ``certified`` means
     the oracle NFA proved every tag outside it dead in every reachable
-    state (``probed_states`` of them passed the probe)."""
+    state (``probed_states`` states passed the probe before the walk
+    stopped)."""
 
     dfa: PathDFA
     live_tags: tuple
@@ -168,27 +128,21 @@ class LexerKernel:
 
 @dataclass(frozen=True)
 class PlanKernels:
-    """The generated kernels of one plan (any side may be ``None``
-    when generation declined; the engine then uses the table kernel for
-    that side)."""
+    """The kernels of one plan (either side may be ``None`` when
+    generation declined; the engine then uses the table tier for that
+    side)."""
 
-    projector: ProjectorKernel | None
     evaluator: EvaluatorKernel | None
-    lexer: "LexerKernel | None" = None
+    lexer: LexerKernel | None = None
 
     @property
     def kernel_count(self) -> int:
-        return (
-            (self.projector is not None)
-            + (self.evaluator is not None)
-            + (self.lexer is not None)
-        )
+        return (self.evaluator is not None) + (self.lexer is not None)
 
     @property
     def source_chars(self) -> int:
         """Generated source footprint (Kernel C generates none)."""
-        kernels = (self.projector, self.evaluator)
-        return sum(len(k.source) for k in kernels if k is not None)
+        return 0 if self.evaluator is None else len(self.evaluator.source)
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +176,7 @@ class _Constants:
     """Registry of objects the generated source references by name.
 
     Constants land in the exec namespace, so the generated code shares
-    the *same* dict/tuple/predicate objects the table kernels use —
-    role-count dicts handed to ``Buffer.add_roles`` are identical
-    objects either way.
+    the *same* tuple/predicate objects the VM uses.
     """
 
     def __init__(self, prefix: str):
@@ -251,13 +203,13 @@ def _compile_namespace(source: str, filename: str, namespace: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Kernel A: the generated projector
+# Kernel C: the fused lexer front-end's plan data
 # ---------------------------------------------------------------------------
 
 
 def _projection_tags(analysis) -> list[str]:
     """All tag names the plan's projection paths can ever match by
-    name — the closed tag alphabet the DFA is pre-warmed over."""
+    name — the closed tag alphabet fused into the lexer's scan."""
     tags: set[str] = set()
     for role in getattr(analysis, "roles", ()):
         path = getattr(role, "path", None)
@@ -269,352 +221,6 @@ def _projection_tags(analysis) -> list[str]:
                 tags.add(test.name)
     return sorted(tags)
 
-
-def _warm_dfa(dfa: PathDFA, tags: list[str]) -> list[int]:
-    """Drive the lazy DFA over every warmed ``(state, tag)`` pair until
-    closure; returns the live states reachable over the tag alphabet
-    (document order of discovery, start state first)."""
-    seen: list[int] = [dfa.start]
-    seen_set = {dfa.start, PathDFA.dead}
-    index = 0
-    while index < len(seen):
-        state = seen[index]
-        index += 1
-        dfa.text(state)
-        for tag in tags:
-            child, parent, _counts = dfa.element(state, tag)
-            for nxt in (child, parent):
-                if nxt not in seen_set:
-                    seen_set.add(nxt)
-                    seen.append(nxt)
-        if len(seen) > 4 * MAX_BAKED_STATES:
-            # Pathological closure (deep descendant interleavings):
-            # keep the memo warm but stop enumerating; dispatch will be
-            # generic for the tail.
-            break
-    return seen
-
-
-_PROJ_STATS_LINES = (
-    "stats.tokens += 1",
-    "lc = buffer.live_count",
-    "if lc > stats.watermark:",
-    "    stats.watermark = lc",
-    "if stats.record_series:",
-    "    series.append(lc)",
-)
-
-_PROJ_SKIP_LINES = (
-    "cnt = skip_subtree()",
-    "if cnt > 0:",
-    "    stats.tokens += cnt",
-    "    lc = buffer.live_count",
-    "    if lc > stats.watermark:",
-    "        stats.watermark = lc",
-    "    if stats.record_series:",
-    "        series.extend([lc] * cnt)",
-)
-
-
-def _emit_baked_start(w: _SourceWriter, d: int, state: int, entry: tuple,
-                      consts: _Constants) -> None:
-    """The start-event body for one baked transition: every decision —
-    parent adjustment, materialization, skip-vs-descend — resolved at
-    generation time."""
-    child, parent, counts = entry
-    if parent != state:
-        w.line(d, f"states[-1] = {parent}")
-    if counts is None and not child:
-        # The hottest path of a selective plan: a fully irrelevant
-        # subtree.  One fused skip, single live-count read (no buffer
-        # mutation can happen in between).
-        w.lines(d, (
-            "stats.tokens += 1",
-            "stats.subtrees_skipped += 1",
-            "cnt = skip_subtree()",
-            "stats.tokens += cnt",
-            "lc = buffer.live_count",
-            "if lc > stats.watermark:",
-            "    stats.watermark = lc",
-            "if stats.record_series:",
-            "    series.append(lc)",
-            "    if cnt > 0:",
-            "        series.extend([lc] * cnt)",
-            "return True",
-        ))
-        return
-    if counts is not None:
-        counts_name = consts.name_for(counts)
-        w.lines(d, (
-            "top = len(nodes) - 1",
-            "pnode = nodes[top]",
-            "if pnode is None:",
-            "    pnode = materialize(top)",
-            "node = new_element(pnode, name, event[2])",
-            f"add_roles(node, {counts_name})",
-        ))
-    w.lines(d, _PROJ_STATS_LINES)
-    if child:
-        w.lines(d, (
-            "tags_append(name)",
-            "attrs_append(event[2])",
-            f"states_append({child})",
-            "nodes_append(node)" if counts is not None else "nodes_append(None)",
-        ))
-    else:
-        # counts is not None here (the None case returned above): a
-        # buffered leaf whose content cannot match — skipped but not
-        # counted as an irrelevant subtree, and closed afterwards.
-        w.lines(d, _PROJ_SKIP_LINES)
-        w.line(d, "close(node)")
-    w.line(d, "return True")
-
-
-def _emit_baked_text(w: _SourceWriter, d: int, state: int, entry: tuple,
-                     consts: _Constants) -> None:
-    """The text-event body for one baked state."""
-    counts, parent = entry
-    if counts is not None:
-        counts_name = consts.name_for(counts)
-        w.lines(d, (
-            "top = len(states) - 1",
-            "pnode = nodes[top]",
-            "if pnode is None:",
-            "    pnode = materialize(top)",
-            "node = new_text(pnode, event[3])",
-            f"add_roles(node, {counts_name})",
-        ))
-    if parent != state:
-        w.line(d, f"states[-1] = {parent}")
-    w.lines(d, _PROJ_STATS_LINES)
-    w.line(d, "return True")
-
-
-def generate_projector_kernel(dfa: PathDFA, analysis) -> ProjectorKernel:
-    """Generate, compile and return Kernel A for one plan.
-
-    Raises:
-        CodegenError: the DFA/analysis shape cannot be specialized.
-    """
-    if dfa is None:
-        raise CodegenError("plan has no DFA")
-    tags = _projection_tags(analysis)
-    warm = _warm_dfa(dfa, tags)
-    baked_states = [s for s in warm if s != PathDFA.dead][:MAX_BAKED_STATES]
-    consts = _Constants("K")
-    # Snapshot the warmed transitions now: entries added later (unseen
-    # document tags) are served by the fall-through memo lookup.  The
-    # snapshot is taken per state *before* emission so the baked chain
-    # and the bound memo dict can never disagree.
-    element_snapshot = {s: sorted(dfa._element_memo[s].items()) for s in baked_states}
-    text_snapshot = {s: dfa._text_memo[s] for s in baked_states}
-    baked_transitions = sum(len(v) for v in element_snapshot.values())
-
-    w = _SourceWriter()
-    w.lines(0, (
-        "def make_advance(P):",
-        "    lexer = P._lexer",
-        "    next_event = lexer.next_event",
-        "    skip_subtree = lexer.skip_subtree",
-        "    buffer = P._buffer",
-        "    stats = P._stats",
-        "    series = stats.series",
-        "    new_element = buffer.new_element",
-        "    new_text = buffer.new_text",
-        "    add_roles = buffer.add_roles",
-        "    close = buffer.close",
-        "    compute_element = DFA.compute_element",
-        "    compute_text = DFA.text",
-        "    tags = P._tags",
-        "    attrs = P._attrs",
-        "    states = P._states",
-        "    nodes = P._nodes",
-        "    tags_append = tags.append",
-        "    attrs_append = attrs.append",
-        "    states_append = states.append",
-        "    nodes_append = nodes.append",
-        "    tags_pop = tags.pop",
-        "    attrs_pop = attrs.pop",
-        "    states_pop = states.pop",
-        "    nodes_pop = nodes.pop",
-        "",
-        "    def materialize(index):",
-        "        depth = index",
-        "        while nodes[depth] is None:",
-        "            depth -= 1",
-        "        while depth < index:",
-        "            depth += 1",
-        "            nodes[depth] = new_element(nodes[depth - 1], tags[depth], attrs[depth])",
-        "        return nodes[index]",
-        "",
-        "    def advance():",
-        "        if P.exhausted:",
-        "            return False",
-        "        event = next_event()",
-        "        if event is None:",
-        "            P.exhausted = True",
-        "            close(buffer.root)",
-        "            return False",
-        "        kind = event[0]",
-        "        if kind == 0:",
-        "            name = event[1]",
-        "            state = states[-1]",
-    ))
-    # -- start events: baked per-state/tag chains, generic fall-through
-    d = 3  # inside `if kind == 0:`
-    keyword = "if"
-    for state in baked_states:
-        transitions = element_snapshot[state]
-        w.line(d, f"{keyword} state == {state}:")
-        keyword = "elif"
-        inner = "if"
-        for tag, entry in transitions:
-            w.line(d + 1, f"{inner} name == {tag!r}:")
-            inner = "elif"
-            # The end-tag scan of the bytes lexer does not intern, so
-            # tags compare by value (==), never identity.
-            _emit_baked_start(w, d + 2, state, entry, consts)
-        memo_name = consts.name_for(dfa._element_memo[state])
-        if inner == "if":  # no transitions baked for this state
-            w.line(d + 1, f"entry = {memo_name}.get(name)")
-        else:
-            w.line(d + 1, "else:")
-            w.line(d + 2, f"entry = {memo_name}.get(name)")
-    if keyword == "if":  # no baked states at all
-        w.line(d, "entry = EM[state].get(name)")
-    else:
-        w.line(d, "else:")
-        w.line(d + 1, "entry = EM[state].get(name)")
-    w.lines(d, (
-        "if entry is None:",
-        "    entry = compute_element(state, name)",
-        "child, parent, counts = entry",
-        "if parent != state:",
-        "    states[-1] = parent",
-        "if counts is not None:",
-        "    top = len(nodes) - 1",
-        "    pnode = nodes[top]",
-        "    if pnode is None:",
-        "        pnode = materialize(top)",
-        "    node = new_element(pnode, name, event[2])",
-        "    add_roles(node, counts)",
-        "else:",
-        "    node = None",
-    ))
-    w.lines(d, _PROJ_STATS_LINES)
-    w.lines(d, (
-        "if child:",
-        "    tags_append(name)",
-        "    attrs_append(event[2])",
-        "    states_append(child)",
-        "    nodes_append(node)",
-        "else:",
-        "    if node is None:",
-        "        stats.subtrees_skipped += 1",
-    ))
-    w.lines(d + 1, _PROJ_SKIP_LINES)
-    w.lines(d + 1, (
-        "if node is not None:",
-        "    close(node)",
-    ))
-    # -- end events
-    w.line(2, "elif kind == 1:")
-    w.lines(3, (
-        "tags_pop()",
-        "attrs_pop()",
-        "states_pop()",
-        "node = nodes_pop()",
-        "if node is not None:",
-        "    close(node)",
-    ))
-    w.lines(3, _PROJ_STATS_LINES)
-    # -- text events: baked per-state bodies, generic fall-through
-    w.line(2, "else:")
-    w.line(3, "state = states[-1]")
-    keyword = "if"
-    for state in baked_states:
-        entry = text_snapshot[state]
-        if entry is None:  # pragma: no cover - warm always fills it
-            continue
-        w.line(3, f"{keyword} state == {state}:")
-        keyword = "elif"
-        _emit_baked_text(w, 4, state, entry, consts)
-    w.lines(3, (
-        "entry = TM[state]",
-        "if entry is None:",
-        "    entry = compute_text(state)",
-        "counts, parent = entry",
-        "if counts is not None:",
-        "    top = len(states) - 1",
-        "    pnode = nodes[top]",
-        "    if pnode is None:",
-        "        pnode = materialize(top)",
-        "    node = new_text(pnode, event[3])",
-        "    add_roles(node, counts)",
-        "if parent != state:",
-        "    states[-1] = parent",
-    ))
-    w.lines(3, _PROJ_STATS_LINES)
-    w.line(2, "return True")
-    w.lines(0, (
-        "",
-        "    def run_to_end():",
-        "        while advance():",
-        "            pass",
-        "",
-        "    return advance, run_to_end",
-    ))
-
-    source = w.source()
-    namespace = dict(consts.namespace)
-    namespace["DFA"] = dfa
-    namespace["EM"] = dfa._element_memo
-    namespace["TM"] = dfa._text_memo
-    try:
-        module = _compile_namespace(source, "<gcx-projector-kernel>", namespace)
-    except SyntaxError as exc:  # pragma: no cover - generator bug guard
-        raise CodegenError(f"generated projector source invalid: {exc}") from exc
-    return ProjectorKernel(
-        factory=module["make_advance"],
-        source=source,
-        dfa=dfa,
-        baked_states=len(baked_states),
-        baked_transitions=baked_transitions,
-    )
-
-
-class GeneratedStreamProjector:
-    """Kernel A bound to one stream: the generated ``advance`` closure
-    over the same four-parallel-list stack as
-    :class:`~repro.core.projector.CompiledStreamProjector` (whose
-    observable behaviour it reproduces byte for byte)."""
-
-    def __init__(
-        self,
-        kernel: ProjectorKernel,
-        lexer,
-        dfa: PathDFA,
-        buffer: Buffer,
-        stats: BufferStats | None = None,
-    ):
-        if dfa is not kernel.dfa:
-            raise CodegenError("kernel was generated for a different DFA")
-        self._lexer = lexer
-        self._buffer = buffer
-        self._stats = stats if stats is not None else buffer.stats
-        self._tags: list = [None]
-        self._attrs: list = [None]
-        self._states: list[int] = [dfa.start]
-        self._nodes: list[BufferNode | None] = [buffer.root]
-        if dfa.start_roles:
-            buffer.add_roles(buffer.root, dfa.start_roles)
-        self.exhausted = False
-        self.advance, self.run_to_end = kernel.factory(self)
-
-
-# ---------------------------------------------------------------------------
-# Kernel C: the fused lexer front-end's plan data
-# ---------------------------------------------------------------------------
 
 #: The certification probe tag: NUL can never start an XML name, so no
 #: document tag collides with it, and pushing it through the oracle NFA
@@ -646,37 +252,42 @@ def _probe_fusible(dfa: PathDFA, state: int) -> bool:
 
 def _certify_live_alphabet(dfa: PathDFA, tags: list[str]) -> tuple:
     """Decide how much of the fused-skip decision can be baked;
-    returns ``(certified, fusible_states)``.
+    returns ``(certified, probed_states)``.
 
-    The state closure is walked over the alphabet *including*
-    text-driven parent adjustments (unlike :func:`_warm_dfa` — a fused
-    run can sit in a state only reachable through a text event
-    exhausting a ``[1]`` step), and every reachable state is probed
-    with :func:`_probe_fusible`.  ``certified=True`` means the probe
-    passed in *every* closure state — an out-of-alphabet tag is dead
-    everywhere, so the fused loop may bulk-skip it without
-    touching the DFA at all.  ``certified=False`` (some state keeps
-    unknown tags live, e.g. a trailing ``descendant-or-self::node()``
-    subtree-copy role, or the closure is too large to enumerate) still
-    permits fusion — the batch boundary at an unknown tag is harmless
-    — but the skip decision must go through the shared DFA dispatch
-    per tag.
+    The state closure is walked breadth-first over the alphabet
+    *including* text-driven parent adjustments (a fused run can sit in
+    a state only reachable through a text event exhausting a ``[1]``
+    step), and each state is probed with :func:`_probe_fusible` as the
+    walk dequeues it.  ``certified=True`` means the probe passed in
+    *every* closure state — an out-of-alphabet tag is dead everywhere,
+    so the fused loop may bulk-skip it without touching the DFA at all.
+    The walk stops at the first state that fails (``probed_states``
+    passed before it), or past :data:`MAX_CERTIFIED_STATES`:
+    ``certified=False`` (some state keeps unknown tags live, e.g. a
+    trailing ``descendant-or-self::node()`` subtree-copy role or a
+    descendant self-loop) still permits fusion — the batch boundary at
+    an unknown tag is harmless — but the skip decision must go through
+    the shared DFA dispatch per tag.  Stopping early matters: the
+    closure of a descendant chain grows with the number of NFA
+    derivations, and it is never needed once one state has failed.
 
     Raises:
         CodegenError: even the start state keeps unknown tags live
             (wildcard or descendant steps at the root): fusion could
-            never skip anything, so the plan declines to Kernel A.
+            never skip anything, so the plan declines to the tables.
     """
-    if not _probe_fusible(dfa, dfa.start):
-        raise CodegenError(
-            "unknown tags stay live at the root (wildcard/descendant)"
-        )
     seen: list[int] = [dfa.start]
     seen_set = {dfa.start, PathDFA.dead}
-    index = 0
-    while index < len(seen):
-        state = seen[index]
-        index += 1
+    probed = 0
+    while probed < len(seen):
+        state = seen[probed]
+        if not _probe_fusible(dfa, state):
+            if probed == 0:
+                raise CodegenError(
+                    "unknown tags stay live at the root (wildcard/descendant)"
+                )
+            return (False, probed)
+        probed += 1
         nxt = [dfa.text(state)[1]]
         for tag in tags:
             child, parent, _counts = dfa.element(state, tag)
@@ -686,12 +297,9 @@ def _certify_live_alphabet(dfa: PathDFA, tags: list[str]) -> tuple:
             if candidate not in seen_set:
                 seen_set.add(candidate)
                 seen.append(candidate)
-        if len(seen) > 4 * MAX_BAKED_STATES:
-            # pathological closure: fusion stays available, but the
-            # certificate cannot be enumerated — dispatch generically
-            return (False, 1)
-    fusible = sum(1 for state in seen if _probe_fusible(dfa, state))
-    return (fusible == len(seen), fusible)
+        if len(seen) > MAX_CERTIFIED_STATES:
+            return (False, probed)
+    return (True, probed)
 
 
 def generate_lexer_kernel(dfa: PathDFA, analysis) -> LexerKernel:
@@ -953,17 +561,12 @@ def generate_plan_kernels(dfa, analysis, program) -> PlanKernels | None:
 
     Called once per plan compile (inside the cache's single-flight, so
     N racing sessions trigger exactly one generation).  Any failure is
-    a silent fallback to the table kernels — codegen is a pure
-    optimisation tier, never a correctness risk.
+    a silent fallback to the table tier — the kernels are a pure
+    optimisation, never a correctness risk.
     """
-    projector = None
     evaluator = None
     lexer = None
     if dfa is not None:
-        try:
-            projector = generate_projector_kernel(dfa, analysis)
-        except CodegenError:
-            projector = None
         try:
             lexer = generate_lexer_kernel(dfa, analysis)
         except CodegenError:
@@ -973,6 +576,6 @@ def generate_plan_kernels(dfa, analysis, program) -> PlanKernels | None:
             evaluator = generate_evaluator_kernel(program)
         except CodegenError:
             evaluator = None
-    if projector is None and evaluator is None and lexer is None:
+    if evaluator is None and lexer is None:
         return None
-    return PlanKernels(projector=projector, evaluator=evaluator, lexer=lexer)
+    return PlanKernels(evaluator=evaluator, lexer=lexer)

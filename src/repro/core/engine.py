@@ -58,19 +58,15 @@ Ablation switches:
   :class:`~repro.core.evaluator.PullEvaluator` instead of the compiled
   operator-program VM (DESIGN.md §10).  Again byte-identical; again an
   oracle switch.  ``gcx run --interpreted`` sets both to ``False``.
-* ``codegen=False`` — run the table-driven kernels instead of the
-  per-plan generated-code kernels (DESIGN.md §12).  Byte-identical; the
-  fallback ladder is codegen → tables → interpreter, and each level is
-  the differential oracle of the one above.  ``gcx run --no-codegen``
-  sets it; ``--interpreted`` bypasses codegen implicitly (generated
-  kernels specialize the *compiled* table kernels, so disabling those
-  disables codegen with them).
-* ``fused_lexer=False`` — keep the per-event lexer pull under the
-  generated projector instead of the fused batch front-end (Kernel C,
-  DESIGN.md §15).  Byte-identical; ``gcx run --no-fused-lexer`` sets
-  it.  Only consulted where ``compiled`` and ``codegen`` already
-  selected the generated tier, and only effective for bytes sources
-  (the str lexer has no batch projection surface).
+* ``codegen=False`` — run the DFA tables and the operator-program VM
+  instead of the per-plan kernels: the fused lexer front-end (Kernel C,
+  DESIGN.md §15) and the generated evaluator (Kernel B, DESIGN.md §12).
+  Byte-identical; the projector ladder is fused front-end (bytes
+  sources) → DFA tables → NFA interpreter, the evaluator ladder
+  Kernel B → VM → interpreter, and each level is the differential
+  oracle of the one above.  ``gcx run --no-codegen`` sets it;
+  ``--interpreted`` bypasses the kernels implicitly (they specialize
+  the *compiled* tiers, so disabling those disables the kernels too).
 """
 
 from __future__ import annotations
@@ -152,7 +148,6 @@ class GCXEngine:
         compiled: bool = True,
         compiled_eval: bool = True,
         codegen: bool = True,
-        fused_lexer: bool = True,
     ):
         self.gc_enabled = gc_enabled
         self.first_witness = first_witness
@@ -164,17 +159,12 @@ class GCXEngine:
         #: evaluate through the compiled operator-program VM; False
         #: falls back to the interpreting PullEvaluator (the oracle).
         self.compiled_eval = compiled_eval
-        #: use the per-plan generated-code kernels where the plan has
-        #: them; False falls back to the table-driven kernels (the
-        #: oracles).  Only consulted where ``compiled`` resp.
-        #: ``compiled_eval`` already selected the compiled tier.
+        #: use the per-plan kernels (fused front-end, generated
+        #: evaluator) where the plan has them; False falls back to the
+        #: DFA tables and the VM (the oracles).  Only consulted where
+        #: ``compiled`` resp. ``compiled_eval`` already selected the
+        #: compiled tier.
         self.codegen = codegen
-        #: feed the projector from the generated fused lexer front-end
-        #: (Kernel C) where the plan has one and the lexer supports
-        #: batch projection; False falls back to the per-event pull.
-        #: Only consulted where ``compiled`` and ``codegen`` already
-        #: selected the generated tier.
-        self.fused_lexer = fused_lexer
         #: LRU of compiled plans; pass a shared :class:`PlanCache` to
         #: let several engines reuse each other's compilations.
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
@@ -279,7 +269,7 @@ class GCXEngine:
         projector, evaluator = build_pipeline(
             compiled, lexer, buffer, stats, writer, self.gc_enabled,
             compiled=self.compiled, compiled_eval=self.compiled_eval,
-            codegen=self.codegen, fused_lexer=self.fused_lexer,
+            codegen=self.codegen,
         )
         started = time.perf_counter()
         evaluator.run()
@@ -326,9 +316,9 @@ class GCXEngine:
             checkpointable: allow ``snapshot()``/``freeze()`` on this
                 session (DESIGN.md §16).  The session runs the fused
                 projector (Kernel C) and the operator-program VM; the
-                ``exec``-generated Kernels A and B are left out because
-                their loop state lives in generated locals a freeze
-                cannot capture.
+                ``exec``-generated Kernel B is left out because its
+                loop state lives in generated locals a freeze cannot
+                capture.
         """
         plan = query if isinstance(query, QueryPlan) else self.compile(query)
         kwargs = {}
@@ -345,7 +335,6 @@ class GCXEngine:
             compiled=self.compiled,
             compiled_eval=self.compiled_eval,
             codegen=self.codegen,
-            fused_lexer=self.fused_lexer,
             binary_output=binary_output,
             checkpointable=checkpointable,
             **kwargs,
@@ -380,7 +369,6 @@ class GCXEngine:
             on_output=on_output,
             max_pending_output=max_pending_output,
             codegen=self.codegen,
-            fused_lexer=self.fused_lexer,
             **kwargs,
         )
 

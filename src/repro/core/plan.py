@@ -343,10 +343,11 @@ class PlanCache:
         """Aggregate generated-kernel occupancy over the cached plans.
 
         The codegen twin of :meth:`dfa_stats` / :meth:`program_stats`
-        (server observability, DESIGN.md §12): how many plans carry
-        generated kernels on each side, the total generated-source
-        footprint in characters, and how many plans fell back entirely
-        to the table-driven kernels.  Plans cached under several source
+        (server observability, DESIGN.md §12): how many plans carry an
+        evaluator kernel (Kernel B) and a fused-lexer kernel (Kernel C),
+        the generated-source footprint in characters (Kernel B only;
+        Kernel C generates none), and how many plans fell back entirely
+        to the table-driven tiers.  Plans cached under several source
         keys count once; evicting a plan removes its kernels (and their
         source chars) from this snapshot.
         """
@@ -354,7 +355,6 @@ class PlanCache:
             plans = {id(plan): plan for plan, _canonical in self._plans.values()}
         snapshot = {
             "plans": 0,
-            "projector_kernels": 0,
             "evaluator_kernels": 0,
             "lexer_kernels": 0,
             "source_chars": 0,
@@ -366,11 +366,8 @@ class PlanCache:
                 snapshot["fallbacks"] += 1
                 continue
             snapshot["plans"] += 1
-            snapshot["projector_kernels"] += kernels.projector is not None
             snapshot["evaluator_kernels"] += kernels.evaluator is not None
-            snapshot["lexer_kernels"] += (
-                getattr(kernels, "lexer", None) is not None
-            )
+            snapshot["lexer_kernels"] += kernels.lexer is not None
             snapshot["source_chars"] += kernels.source_chars
         return snapshot
 

@@ -66,7 +66,7 @@ import time
 from collections import deque
 
 from repro.core.buffer import Buffer
-from repro.core.codegen import CodegenEvaluator, GeneratedStreamProjector
+from repro.core.codegen import CodegenEvaluator
 from repro.core.evaluator import PullEvaluator
 from repro.core.plan import QueryPlan
 from repro.core.program import CompiledEvaluator
@@ -112,31 +112,26 @@ def build_pipeline(
     compiled: bool = True,
     compiled_eval: bool = True,
     codegen: bool = True,
-    fused_lexer: bool = True,
     checkpointable: bool = False,
 ):
     """``(projector, evaluator)`` for one run of *plan*: the one tier
     ladder of pull runs, push sessions and restored sessions.
 
-    Projector: fused front-end (bytes lexers only) → Kernel A → DFA
-    tables → NFA interpreter; evaluator: Kernel B → VM → interpreter.
-    *checkpointable* skips the ``exec``-generated Kernels A and B, whose
-    loop state lives in generated locals a freeze cannot capture.
+    Projector: the fused front-end where the plan has a lexer kernel and
+    the lexer has ``project_into`` (bytes sources) → DFA tables; with
+    *compiled* False, the NFA interpreter.  Evaluator: Kernel B → VM →
+    interpreter.  *checkpointable* skips the ``exec``-generated Kernel
+    B, whose loop state lives in generated locals a freeze cannot
+    capture; the fused front-end is freeze-safe.
     """
     kernels = plan.kernels if codegen else None
-    generated = kernels if not checkpointable else None
     if compiled and plan.dfa is not None:
         if (
             kernels is not None
-            and fused_lexer
             and kernels.lexer is not None
             and hasattr(lexer, "project_into")
         ):
             projector = FusedStreamProjector(kernels.lexer, lexer, buffer, stats)
-        elif generated is not None and generated.projector is not None:
-            projector = GeneratedStreamProjector(
-                generated.projector, lexer, plan.dfa, buffer, stats
-            )
         else:
             projector = CompiledStreamProjector(lexer, plan.dfa, buffer, stats)
     else:
@@ -144,9 +139,13 @@ def build_pipeline(
     # The plan's operator program is immutable and shared too; all
     # per-run state (slots, loop frames) lives on the evaluator.
     if compiled_eval and plan.program is not None:
-        if generated is not None and generated.evaluator is not None:
+        if (
+            kernels is not None
+            and kernels.evaluator is not None
+            and not checkpointable
+        ):
             evaluator = CodegenEvaluator(
-                generated.evaluator, plan.program, projector, buffer, writer,
+                kernels.evaluator, plan.program, projector, buffer, writer,
                 gc_enabled,
             )
         else:
@@ -446,7 +445,6 @@ class StreamSession:
         compiled: bool = True,
         compiled_eval: bool = True,
         codegen: bool = True,
-        fused_lexer: bool = True,
         binary_output: bool = False,
         checkpointable: bool = False,
     ):
@@ -488,8 +486,7 @@ class StreamSession:
         self._projector, self._evaluator = build_pipeline(
             plan, self._lexer, self._buffer, self._stats, self._writer,
             gc_enabled, compiled=compiled, compiled_eval=compiled_eval,
-            codegen=codegen, fused_lexer=fused_lexer,
-            checkpointable=checkpointable,
+            codegen=codegen, checkpointable=checkpointable,
         )
         self._error: BaseException | None = None
         self._result = None
@@ -741,7 +738,6 @@ class StreamSession:
         max_pending_output: int | None = None,
         max_pending_chunks: int = DEFAULT_MAX_PENDING_CHUNKS,
         codegen: bool = True,
-        fused_lexer: bool = True,
     ) -> "StreamSession":
         """Rebuild a session from a :meth:`snapshot` blob.
 
@@ -753,8 +749,8 @@ class StreamSession:
         resumes feeding at byte offset ``bytes_fed`` and the combined
         output (already-delivered prefix + what this session produces)
         is byte-identical to an uninterrupted run.  The tiers follow
-        *codegen*/*fused_lexer* as for a new checkpointable session; the
-        fused and table projectors share one checkpoint state.
+        *codegen* as for a new checkpointable session; the fused and
+        table projectors share one checkpoint state.
         """
         snap = decode_session(blob)
         verify_plan(snap, plan)
@@ -792,8 +788,7 @@ class StreamSession:
         self._writer = XmlWriter(stream=self._output)
         self._projector, self._evaluator = build_pipeline(
             plan, self._lexer, self._buffer, self._stats, self._writer,
-            snap.gc_enabled, codegen=codegen, fused_lexer=fused_lexer,
-            checkpointable=True,
+            snap.gc_enabled, codegen=codegen, checkpointable=True,
         )
         # the series in place: the fused projector's loop holds the list
         self._stats.series[:] = snap.stats["series"]

@@ -19,7 +19,7 @@ N sessions over the same document each lex and project N times.
   (:class:`_EventReplay`) that serves the broadcast events through the
   ``next_event()`` / ``skip_subtree()`` surface the compiled
   projectors already consume, and an unmodified per-plan pipeline —
-  DFA/codegen projector, VM/codegen evaluator, buffer, stats, output
+  DFA-table projector, VM/codegen evaluator, buffer, stats, output
   channel — running on its own worker thread.
 
 Because a subscriber's projector sees the same significant-event

@@ -7,6 +7,11 @@ this pass rewrites them:
 
 * ``for $x in $y/a/b`` becomes
   ``for $g in $y/a return for $x in $g/b`` with a fresh ``$g``;
+  this is sound only while no node is reached twice, so a
+  ``descendant``/``descendant-or-self`` step after an earlier one is
+  refused (``$g`` could bind an ancestor and its descendant, and the
+  later step would then bind their shared descendants once per
+  ancestor);
 * ``for $x in s where c return e`` becomes
   ``for $x in s return if (c) then e else ()``;
 * nested re-use of a variable name is alpha-renamed apart so that every
@@ -26,6 +31,10 @@ from repro.xquery import ast as q
 
 class NormalizationError(ValueError):
     """Raised when a query violates the fragment's restrictions."""
+
+
+#: Axes whose result can hold an ancestor together with its descendant.
+_NESTING_AXES = (Axis.DESCENDANT, Axis.DESCENDANT_OR_SELF)
 
 
 class _Normalizer:
@@ -89,6 +98,11 @@ class _Normalizer:
         if any(step.axis is Axis.ATTRIBUTE for step in source.path.steps):
             raise NormalizationError(
                 f"for ${expr.var}: cannot iterate over attributes"
+            )
+        if sum(step.axis in _NESTING_AXES for step in source.path.steps) > 1:
+            raise NormalizationError(
+                f"for ${expr.var}: descendant step after a nesting step in "
+                "a `for` source; write the loops out"
             )
         # Split a multi-step source into a chain of fresh single-step
         # loops; the innermost keeps the user's variable (renamed apart

@@ -1,12 +1,13 @@
-"""Per-plan generated-code kernels (DESIGN.md §12).
+"""Per-plan kernels (DESIGN.md §12, §15): the generated evaluator
+(Kernel B) and the fused lexer front-end (Kernel C).
 
-The generated kernels are an *optimisation tier*, never a semantic
-one: the table-driven kernels (lazy-DFA projector, operator-program
-VM) stay in the tree as byte-identical oracles, and everything here is
+The kernels are an *optimisation tier*, never a semantic one: the
+table-driven tiers (lazy-DFA projector, operator-program VM) stay in
+the tree as byte-identical oracles, and everything here is
 differential against them — same output, same per-token series, same
 watermark, same role/GC counters, at every byte chunking, in both
 pull-run and push-session modes.  The fallback ladder
-codegen → tables → interpreter is exercised explicitly: plans without
+kernels → tables → interpreter is exercised explicitly: plans without
 kernels, engines with ``codegen=False``, and op streams the
 decompiler rejects must all run (and agree) through the lower tiers.
 """
@@ -15,24 +16,29 @@ import dataclasses
 import pathlib
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.buffer import Buffer
 from repro.core.codegen import (
     CodegenError,
     CodegenEvaluator,
-    GeneratedStreamProjector,
     _certify_live_alphabet,
     generate_evaluator_kernel,
     generate_lexer_kernel,
     generate_plan_kernels,
-    generate_projector_kernel,
 )
 from repro.core.engine import GCXEngine
 from repro.core.matcher import PathDFA, PathMatcher
 from repro.core.program import OP_FOR_INIT, OP_JUMP
+from repro.core.projector import CompiledStreamProjector
+from repro.core.session import build_pipeline
+from repro.core.stats import BufferStats
 from repro.xmark import ADAPTED_QUERIES
+from repro.xmlio.lexer import make_lexer
+from repro.xmlio.writer import XmlWriter
 from repro.xpath.parser import parse_path
 
 from test_differential import QUERIES, random_document
@@ -83,17 +89,15 @@ class TestKernelGeneration:
         for adapted in ADAPTED_QUERIES.values():
             plan = engine.compile(adapted.text)
             assert plan.kernels is not None, adapted.key
-            assert plan.kernels.projector is not None, adapted.key
             assert plan.kernels.evaluator is not None, adapted.key
             # every adapted XMark plan also admits the fused lexer
             # front-end (Kernel C): a named tag alphabet with a
             # fusible root state
             assert plan.kernels.lexer is not None, adapted.key
-            assert plan.kernels.kernel_count == 3
+            assert plan.kernels.kernel_count == 2
             # Kernel C is plain code: it adds no generated source
-            assert plan.kernels.source_chars == (
-                len(plan.kernels.projector.source)
-                + len(plan.kernels.evaluator.source)
+            assert plan.kernels.source_chars == len(
+                plan.kernels.evaluator.source
             )
 
     def test_differential_query_pool_generates(self):
@@ -105,10 +109,6 @@ class TestKernelGeneration:
                 generated += plan.kernels.kernel_count
         # the pool is the compiled fragment; codegen must cover it
         assert generated >= 2 * len(QUERIES) - 2
-
-    def test_projector_kernel_requires_dfa(self):
-        with pytest.raises(CodegenError):
-            generate_projector_kernel(None, None)
 
     def test_evaluator_kernel_requires_program(self):
         with pytest.raises(CodegenError):
@@ -130,20 +130,7 @@ class TestKernelGeneration:
 
     def test_generated_source_is_python(self):
         plan = GCXEngine().compile(ADAPTED_QUERIES["q1"].text)
-        compile(plan.kernels.projector.source, "<proj>", "exec")
         compile(plan.kernels.evaluator.source, "<eval>", "exec")
-
-    def test_kernel_rejects_foreign_dfa(self):
-        engine = GCXEngine()
-        p1 = engine.compile(ADAPTED_QUERIES["q1"].text)
-        p2 = engine.compile(ADAPTED_QUERIES["q6"].text)
-        from repro.core.buffer import Buffer
-        from repro.xmlio.lexer import make_lexer
-
-        with pytest.raises(CodegenError):
-            GeneratedStreamProjector(
-                p1.kernels.projector, make_lexer(b"<site/>"), p2.dfa, Buffer()
-            )
 
     def test_kernel_rejects_foreign_program(self):
         engine = GCXEngine()
@@ -202,7 +189,7 @@ class TestLexerKernel:
     def test_descendant_at_root_declines(self):
         """When unknown tags stay live in the start state the fused
         scan could never skip anything — generation declines and the
-        plan keeps the per-event Kernel A front-end."""
+        plan keeps the per-event DFA tables."""
         dfa = PathDFA(
             PathMatcher([("r1", parse_path("/descendant-or-self::node()/b"))])
         )
@@ -215,7 +202,7 @@ class TestLexerKernel:
 
     def test_fused_tier_falls_back_without_lexer_kernel(self):
         """Stripping only the lexer kernel drops the plan to the
-        per-event generated tier with identical results."""
+        per-event DFA tables with identical results."""
         engine = GCXEngine()
         plan = engine.compile(ADAPTED_QUERIES["q1"].text)
         no_lexer = dataclasses.replace(
@@ -229,19 +216,92 @@ class TestLexerKernel:
             engine.run(plan, data)
         )
 
-    def test_no_fused_lexer_engine_toggle(self):
-        """``fused_lexer=False`` disables the tier engine-wide; the
-        output is unchanged."""
-        plain = GCXEngine(fused_lexer=False)
-        fused = GCXEngine()
+    def test_unfused_sources_run_the_tables(self):
+        """Where the fused tier declines — str input, a multiplex
+        subscriber (its event replay has no ``project_into``) and a
+        plan whose root keeps unknown tags live — the projector is
+        the DFA tables, byte-identical to ``codegen=False``."""
+        engine = GCXEngine()
+        oracle = GCXEngine(codegen=False)
+        q1 = ADAPTED_QUERIES["q1"].text
         data = (
-            b"<site><people><person id='p0'><name>n0</name></person>"
+            b"<site><people><person id='person0'><name>n0</name></person>"
             b"</people><junk>skipped</junk></site>"
         )
-        a = _fingerprint(plain.run(plain.compile(ADAPTED_QUERIES["q1"].text), data))
-        b = _fingerprint(fused.run(fused.compile(ADAPTED_QUERIES["q1"].text), data))
-        assert a == b
 
+        def projector_type(plan, source):
+            stats = BufferStats()
+            projector, _ = build_pipeline(
+                plan, make_lexer(source), Buffer(stats), stats, XmlWriter()
+            )
+            return type(projector)
+
+        # str input: the str lexer has no batch projection surface
+        plan = engine.compile(q1)
+        assert plan.kernels.lexer is not None
+        assert projector_type(plan, data.decode()) is CompiledStreamProjector
+        assert _fingerprint(engine.run(plan, data.decode())) == _fingerprint(
+            oracle.run(oracle.compile(q1), data.decode())
+        )
+        # a root-descendant plan on bytes: no lexer kernel at all
+        query = "<r>{ for $i in //item return $i/name }</r>"
+        doc = b"<a><item><name>x</name></item><b><item/></b></a>"
+        plan = engine.compile(query)
+        assert plan.kernels.lexer is None
+        assert projector_type(plan, doc) is CompiledStreamProjector
+        assert _fingerprint(engine.run(plan, doc)) == _fingerprint(
+            oracle.run(oracle.compile(query), doc)
+        )
+        # multiplex subscribers replay broadcast events
+        shared = engine.shared_session()
+        subscribers = [shared.subscribe(engine.compile(q1)) for _ in range(2)]
+        assert all(
+            type(sub._projector) is CompiledStreamProjector
+            for sub in subscribers
+        )
+        shared.feed(data)
+        shared.finish()
+        got = [_fingerprint(sub.finish()) for sub in subscribers]
+        want = _fingerprint(oracle.run(oracle.compile(q1), data))
+        assert got == [want, want]
+
+    @pytest.mark.parametrize(
+        "query, certified, probed",
+        [
+            (ADAPTED_QUERIES["q1"].text, True, 5),
+            (ADAPTED_QUERIES["q6"].text, False, 2),
+            (ADAPTED_QUERIES["q8"].text, False, 6),
+            (ADAPTED_QUERIES["q13"].text, False, 5),
+            (ADAPTED_QUERIES["q20"].text, False, 4),
+            # the shape of the spine's dblp_attrs query
+            (
+                "<r>{ for $a in /dblp/article return "
+                'if ($a/@mdate = "2002-01-03") '
+                "then <t>{ $a/title/text() }</t> else () }</r>",
+                True,
+                4,
+            ),
+        ],
+        ids=["q1", "q6", "q8", "q13", "q20", "dblp"],
+    )
+    def test_spine_plan_certificates(self, query, certified, probed):
+        """The certificate of every spine plan: only fully named
+        child-axis plans are certified; a descendant self-loop (q6) or
+        a subtree-copy role (q8, q13, q20) fails the probe, and the
+        walk stops at the first state that fails."""
+        kernel = GCXEngine().compile(query).kernels.lexer
+        assert (kernel.certified, kernel.probed_states) == (certified, probed)
+
+    @pytest.mark.parametrize("steps", [3, 4])
+    def test_descendant_chain_compiles_fast(self, steps):
+        """The certification walk stops at the first uncertifiable
+        state, so a chain of ``//`` steps never enumerates its
+        derivation-blown DFA closure at compile time."""
+        query = "count(/r" + "//a" * steps + ")"
+        started = time.perf_counter()
+        plan = GCXEngine().compile(query)
+        assert time.perf_counter() - started < 0.5
+        assert not plan.kernels.lexer.certified
 
 # ---------------------------------------------------------------------------
 # differential: codegen vs the table oracles
@@ -269,9 +329,9 @@ class TestDifferentialPull:
             assert a == b, adapted.key
 
     def test_surprise_tags_discovered_at_runtime(self):
-        """Tags absent from the projection paths are not baked; the
-        generated kernel must take the shared-memo fall-through (and
-        grow the memo) exactly like the table kernel."""
+        """Tags absent from the plan's alphabet reach the fused tier's
+        per-tag DFA dispatch, which must grow the shared memo exactly
+        like the table kernel."""
         query = "for $x in /r/descendant::b return $x"
         xml = (
             "<r><z1><z2><b>hit</b></z2></z1><q7/>"
@@ -324,7 +384,7 @@ class TestDifferentialPull:
         )
         only_eval = dataclasses.replace(
             plan,
-            kernels=dataclasses.replace(plan.kernels, projector=None),
+            kernels=dataclasses.replace(plan.kernels, lexer=None),
         )
         xml = "<r><a>1</a><c/><a>2</a></r>"
         want = _fingerprint(engine.run(plan, xml))
@@ -395,7 +455,7 @@ class TestCodegenStats:
         engine.compile(ADAPTED_QUERIES["q6"].text)
         snap = engine.plan_cache.codegen_stats()
         assert snap["plans"] == 2
-        assert snap["projector_kernels"] == 2
+        assert "projector_kernels" not in snap
         assert snap["evaluator_kernels"] == 2
         assert snap["lexer_kernels"] == 2
         assert snap["source_chars"] > 0
@@ -417,7 +477,8 @@ class TestCodegenStats:
         snap = ServerMetrics().snapshot(
             codegen=engine.plan_cache.codegen_stats()
         )
-        assert snap["codegen"]["projector_kernels"] == 1
+        assert snap["codegen"]["evaluator_kernels"] == 1
+        assert snap["codegen"]["lexer_kernels"] == 1
         assert snap["codegen"]["source_chars"] > 0
 
 

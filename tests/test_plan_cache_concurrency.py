@@ -415,8 +415,8 @@ class TestCodegenArtifactLifecycle:
         engine = GCXEngine(plan_cache=PlanCache(capacity=1))
         plan_a = engine.compile(self.QUERY_A)
         assert plan_a.kernels is not None
-        # projector + evaluator + fused lexer front-end (DESIGN.md §15)
-        assert plan_a.kernels.kernel_count == 3
+        # evaluator + fused lexer front-end (DESIGN.md §12, §15)
+        assert plan_a.kernels.kernel_count == 2
         assert len(calls) == 1
         chars_a = plan_a.kernels.source_chars
 
@@ -451,8 +451,8 @@ class TestCodegenArtifactLifecycle:
         assert results[0].kernels is not None
 
     def test_32_sessions_install_audit_with_codegen(self):
-        """The memo-install audit of ISSUE 3, re-run with the generated
-        projector kernel driving the shared DFA: 32 concurrent sessions
+        """The shared-memo install audit, re-run with the fused
+        front-end driving the shared DFA: 32 concurrent sessions
         over one plan, every output equal to a fresh engine's, and the
         shared memo still a deterministic machine afterwards."""
         engine = GCXEngine(codegen=True)
@@ -461,7 +461,7 @@ class TestCodegenArtifactLifecycle:
 
         def run_session(index: int):
             plan = engine.compile(query)
-            assert plan.kernels is not None and plan.kernels.projector is not None
+            assert plan.kernels is not None and plan.kernels.lexer is not None
             session = engine.session(plan)
             doc = document(index % 8)
             for start in range(0, len(doc), 41):
@@ -483,4 +483,5 @@ class TestCodegenArtifactLifecycle:
                 assert watermark == expected.stats.watermark
 
         _audit_dfa(plan.dfa)
-        assert engine.plan_cache.codegen_stats()["projector_kernels"] == 1
+        snap = engine.plan_cache.codegen_stats()
+        assert (snap["evaluator_kernels"], snap["lexer_kernels"]) == (1, 1)

@@ -94,6 +94,14 @@ class TestErrors:
             # Still usable afterwards.
             assert client.stats()["sessions"]["opened"] >= 0
 
+    def test_refused_descendant_chain_rejected_at_open(self, server):
+        with _connect(server) as client:
+            with pytest.raises(ServerError, match="NormalizationError"):
+                client.open("<o>{ for $v in /r//a//b return $v }</o>")
+            document = figure3c_document()
+            expected = GCXEngine().query(BIB_QUERY, document).output
+            assert client.run_query(BIB_QUERY, document).output == expected
+
     def test_deeply_nested_query_rejected_at_open(self, server, xmark_small, q1_expected):
         # past the parser's nesting cap: a typed refusal, and the same
         # connection goes on to serve the next query

@@ -118,6 +118,54 @@ class TestRestrictions:
             normalize_query(bad)
 
 
+class TestDescendantChainRefusal:
+    """Splitting a ``for`` source is sound only while no node is reached
+    twice: a descendant step after an earlier nesting step would bind a
+    node once per matching ancestor, so that shape is refused."""
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "<o>{ for $v in /r//a//b return $v }</o>",
+            "<o>{ for $v in /r//a/b//c return $v }</o>",
+            "<o>{ for $x in /r return for $v in $x//a//b return $v }</o>",
+            "for $v in /r/descendant-or-self::a/descendant::b return $v",
+        ],
+    )
+    def test_descendant_after_nesting_step_refused(self, query):
+        with pytest.raises(NormalizationError, match="write the loops out"):
+            norm(query)
+
+    def test_explicit_nesting_still_repeats(self):
+        """Loops the user wrote out are a different query: each outer
+        ``a`` binds the shared ``b`` once, so it repeats."""
+        from repro.core.engine import GCXEngine
+
+        query = "<o>{ for $a in /r//a return for $b in $a//b return $b }</o>"
+        result = GCXEngine().query(query, "<r><a><a><b/></a></a></r>")
+        assert result.output == "<o><b></b><b></b></o>"
+
+    def test_single_nesting_step_with_child_steps_kept(self):
+        chain = loops(norm("for $v in /r//a/b/c return $v").body)
+        assert [source.split("/")[-1] for _var, source in chain] == [
+            "r", "descendant::a", "b", "c"
+        ]
+
+    def test_spine_queries_still_compile(self):
+        from repro.core.engine import GCXEngine
+        from repro.xmark.queries import ADAPTED_QUERIES, EXTRA_QUERIES
+
+        engine = GCXEngine()
+        for adapted in (*ADAPTED_QUERIES.values(), *EXTRA_QUERIES.values()):
+            engine.compile(adapted.text)
+        # the shape of the spine's dblp_attrs query
+        engine.compile(
+            "<r>{ for $a in /dblp/article return "
+            'if ($a/@mdate = "2002-01-03") '
+            "then <t>{ $a/title/text() }</t> else () }</r>"
+        )
+
+
 class TestStructurePreserved:
     def test_conditions_rewritten_with_scope(self):
         query = norm(
