@@ -20,6 +20,7 @@ compiled kernel's speedup, and CI fails when it drops below 1.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import os
 import time
@@ -241,7 +242,7 @@ def test_lexer_bytes_fused_throughput(benchmark, document):
     real margin.  The CI gate holds the pair at a 0.85 floor while
     the ``skipped`` assertion below pins that pruning actually
     happened.  Both entries are recorded from one paired interleaved
-    loop (the same discipline as the codegen pair), the plain side
+    loop (the same discipline as the fused engine pair), the plain side
     replacing the sequentially-timed number of
     ``test_lexer_bytes_event_fast_path_throughput``."""
     data = document.encode("utf-8")
@@ -389,10 +390,10 @@ def test_engine_q1_throughput(benchmark, document):
 
 
 def test_engine_q1_compiled_throughput(benchmark, document):
-    """Pull mode through the compiled lazy-DFA kernel, pinned to the
-    table-driven tier (``codegen=False``) so this entry stays the
-    baseline the generated kernels of DESIGN.md §12 are gated against."""
-    engine = GCXEngine(record_series=False, codegen=False)
+    """Pull mode through the compiled lazy-DFA kernel and the VM.  The
+    str document has no batch projection surface, so this entry runs
+    the DFA tables, never the fused front-end."""
+    engine = GCXEngine(record_series=False)
     compiled = engine.compile(ADAPTED_QUERIES["q1"].text)
     oracle = GCXEngine(record_series=False, compiled=False)
 
@@ -418,14 +419,17 @@ def test_engine_q1_compiled_bytes_throughput(benchmark, document):
     """The full bytes path (DESIGN.md §11): the same compiled kernels
     fed raw UTF-8 bytes — what the server and the CLI actually stream —
     so the lexer scans the wire representation with no decode pass.
-    Byte-identical to the str-fed oracle.  Pinned to the table-driven
-    tier (``codegen=False``): this is the entry ``engine_q1_codegen``
-    is gated against — and when the codegen test also runs, it
-    re-records this entry from a paired interleaved measurement so the
-    gated ratio never compares two different thermal windows."""
+    Byte-identical to the str-fed oracle.  Pinned to the DFA tables (a
+    plan copy without its lexer kernel): this is the entry
+    ``engine_q1_fused`` is gated against — and when the fused test also
+    runs, it re-records this entry from a paired interleaved
+    measurement so the gated ratio never compares two different thermal
+    windows."""
     data = document.encode("utf-8")
-    engine = GCXEngine(record_series=False, codegen=False)
-    compiled = engine.compile(ADAPTED_QUERIES["q1"].text)
+    engine = GCXEngine(record_series=False)
+    compiled = dataclasses.replace(
+        engine.compile(ADAPTED_QUERIES["q1"].text), lexer_kernel=None
+    )
     oracle = GCXEngine(record_series=False, compiled=False, compiled_eval=False)
 
     result = benchmark.pedantic(
@@ -445,15 +449,14 @@ def test_engine_q1_compiled_bytes_throughput(benchmark, document):
     )
 
 
-def test_engine_q1_codegen_throughput(benchmark, document):
-    """The per-plan kernels at the engine's default tier — for bytes
-    input the fused batch-scan lexer front-end (DESIGN.md §15) and the
-    generated evaluator (DESIGN.md §12): the same bytes workload as
-    ``engine_q1_compiled_bytes``, run through the specializations
-    instead of the DFA tables and the VM.  Byte-identical
-    output AND an identical buffering profile (watermark, token count)
-    to the table tier — specialization must never change what is
-    buffered, only how fast the loop dispatches.
+def test_engine_q1_fused_throughput(benchmark, document):
+    """The engine's default pipeline on bytes — the fused batch-scan
+    lexer front-end (DESIGN.md §15) and the VM: the same bytes workload
+    as ``engine_q1_compiled_bytes``, run through the fused front-end
+    instead of the DFA tables.  Byte-identical output AND an identical
+    buffering profile (watermark, token count) to the table tier —
+    fusion must never change what is buffered, only how fast the loop
+    dispatches.
 
     The JSON entries for both tiers are recorded from one paired
     interleaved loop: the gate compares a few-percent margin, and two
@@ -462,26 +465,23 @@ def test_engine_q1_codegen_throughput(benchmark, document):
     data = document.encode("utf-8")
     engine = GCXEngine(record_series=False)
     compiled = engine.compile(ADAPTED_QUERIES["q1"].text)
-    assert compiled.kernels is not None
-    assert compiled.kernels.lexer is not None
-    assert compiled.kernels.evaluator is not None
-    oracle = GCXEngine(record_series=False, codegen=False)
-    table_plan = oracle.compile(ADAPTED_QUERIES["q1"].text)
+    assert compiled.lexer_kernel is not None
+    table_plan = dataclasses.replace(compiled, lexer_kernel=None)
 
     result = benchmark.pedantic(
         lambda: engine.run(compiled, data), rounds=3, iterations=1
     )
     assert result.stats.final_buffered == 0
-    reference = oracle.run(table_plan, data)
+    reference = engine.run(table_plan, data)
     assert result.output == reference.output
     assert result.stats.watermark == reference.stats.watermark
     assert result.stats.tokens == reference.stats.tokens
     assert result.stats.subtrees_skipped == reference.stats.subtrees_skipped
 
-    best_codegen, best_tables = _paired_best(
-        lambda: engine.run(compiled, data), lambda: oracle.run(table_plan, data)
+    best_fused, best_tables = _paired_best(
+        lambda: engine.run(compiled, data), lambda: engine.run(table_plan, data)
     )
-    _record("engine_q1_codegen", best_codegen, len(data), result.stats.watermark)
+    _record("engine_q1_fused", best_fused, len(data), result.stats.watermark)
     _record(
         "engine_q1_compiled_bytes", best_tables, len(data), reference.stats.watermark
     )
@@ -512,10 +512,9 @@ def test_evaluator_interp_throughput(benchmark, document):
 
 def test_evaluator_vm_throughput(benchmark, document):
     """Evaluator isolation, compiled side: the same DFA projector
-    feeds the operator-program VM, pinned to the table-driven tier
-    (``codegen=False``), so the difference to ``evaluator_interp`` is
-    purely the evaluation kernel, not the generated code of §12."""
-    engine = GCXEngine(record_series=False, codegen=False)
+    feeds the operator-program VM, so the difference to
+    ``evaluator_interp`` is purely the evaluation kernel."""
+    engine = GCXEngine(record_series=False)
     compiled = engine.compile(ADAPTED_QUERIES["q8"].text)
     assert compiled.program is not None
     oracle = GCXEngine(record_series=False, compiled_eval=False)
@@ -539,7 +538,7 @@ def test_evaluator_vm_throughput(benchmark, document):
 
 def test_session_q1_throughput(benchmark, document):
     """Push mode: the same workload fed chunk-wise through a session.
-    Runs the default (codegen) tier — what the server actually serves."""
+    Runs the default pipeline — what the server actually serves."""
     engine = GCXEngine(record_series=False)
     plan = engine.compile(ADAPTED_QUERIES["q1"].text)
 

@@ -23,21 +23,21 @@ the machinery it exists to replace:
   what the skipped bytes save and the pair sits at parity (~0.9–1.0);
   on the pure-Python backend the same pair shows the fused win
   directly (~1.1x).  The fused tier's real margin is gated where it
-  accrues — ``engine_q1_codegen``, whose default tier it now is —
+  accrues — ``engine_q1_fused``, whose default tier it now is —
   and ``bench_throughput.py`` separately asserts the fused drain
   actually *skipped* (a fused path that silently stops skipping
   stays at parity here and would pass this ratio);
-* ``engine_q1_codegen`` (the per-plan kernels: fused front-end and
-  generated evaluator, DESIGN.md §12, §15) vs ``engine_q1_compiled_bytes``
-  (the DFA tables and the VM) — end to end;
+* ``engine_q1_fused`` (the default pipeline: fused front-end and the
+  VM, DESIGN.md §15) vs ``engine_q1_compiled_bytes`` (the same plan
+  without its lexer kernel: the DFA tables and the VM) — end to end;
 * ``server_8queries_shared`` (8 distinct queries multiplexed over one
   published stream, DESIGN.md §13) vs ``server_8queries_independent``
   (the 8 separate sessions they replace) — the shared lex+project
   pass must keep its fan-out win.
 
-The codegen pair carries a tolerance floor (0.85) instead of a
+The fused pair carries a tolerance floor (0.85) instead of a
 strict ``>=``: on Q1 the tokenizer's ``skip_subtree`` is the
-ceiling, so the kernels' margin at engine level is smaller than the
+ceiling, so the fused front-end's margin at engine level is smaller than the
 run-to-run timing noise of a shared machine — even with both sides
 of the pair measured interleaved in one GC-paused window, a strict
 gate flaps.  The floor still catches the regression class it exists
@@ -98,7 +98,7 @@ GATED_PAIRS = (
     ("evaluator_vm", "evaluator_interp", 1.0),
     ("lexer_bytes", "lexer_events", 1.0),
     ("lexer_bytes_fused", "lexer_bytes", 0.85),
-    ("engine_q1_codegen", "engine_q1_compiled_bytes", 0.85),
+    ("engine_q1_fused", "engine_q1_compiled_bytes", 0.85),
     ("server_8queries_shared", "server_8queries_independent", 2.7),
 )
 

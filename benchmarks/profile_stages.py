@@ -15,14 +15,12 @@ consecutive rows approximate each layer's own cost:
 * ``engine_str``     — the same over str input (what the engine paid
   before the bytes path, minus the wire decode it also needed)
 
-``--kernel`` selects which kernel tier the projector/engine stages
-run: the table-driven interpreters (``tables``), the DFA tables with
-the generated evaluator of DESIGN.md §12 (``codegen``), the fused
-batch-scan lexer front-end of DESIGN.md §15 with the generated
-evaluator (``fused``), or — the default — ``both``, which emits one row per
-variant (``projector:tables`` next to ``projector:codegen`` and
-``projector:fused``) so each tier's margin is itself a per-stage
-attribution.
+``--kernel`` selects which projector tier the projector/engine stages
+run, both with the VM: the DFA tables (``tables``), the fused
+batch-scan lexer front-end of DESIGN.md §15 (``fused``), or — the
+default — ``both``, which emits one row per variant
+(``projector:tables`` next to ``projector:fused``) so the fused
+front-end's margin is itself a per-stage attribution.
 
 A second table attributes the lexer's *own* cost per routine —
 markup dispatch, text scanning, entity resolution, and chunked-input
@@ -35,7 +33,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/profile_stages.py
     PYTHONPATH=src python benchmarks/profile_stages.py --scale 16 \
-        --kernel codegen --cprofile engine:codegen --top 15
+        --kernel fused --cprofile engine:fused --top 15
 """
 
 from __future__ import annotations
@@ -123,13 +121,13 @@ def build_lexer_stages(size: int) -> list:
 def build_stages(scale: float, query_key: str, kernel: str = "both"):
     """Return ``(document_bytes, [(stage, callable), ...])``.
 
-    *kernel* is ``tables``, ``codegen`` or ``both``; the projector and
+    *kernel* is ``tables``, ``fused`` or ``both``; the projector and
     engine stages appear once per selected kernel tier, suffixed with
     the tier name when more than one is selected.
     """
     document = generate_document(scale=scale, seed=42)
     data = document.encode("utf-8")
-    variants = ("tables", "codegen", "fused") if kernel == "both" else (kernel,)
+    variants = ("tables", "fused") if kernel == "both" else (kernel,)
 
     def projector_only(plan, variant):
         def run():
@@ -138,7 +136,7 @@ def build_stages(scale: float, query_key: str, kernel: str = "both"):
             lexer = make_lexer(data)
             if variant == "fused":
                 FusedStreamProjector(
-                    plan.kernels.lexer, lexer, buffer
+                    plan.lexer_kernel, lexer, buffer
                 ).run_to_end()
             else:
                 CompiledStreamProjector(lexer, plan.dfa, buffer).run_to_end()
@@ -153,21 +151,13 @@ def build_stages(scale: float, query_key: str, kernel: str = "both"):
     suffix = (lambda name, v: f"{name}:{v}") if len(variants) > 1 else (
         lambda name, _v: name
     )
+    engine = GCXEngine(record_series=False)
     for variant in variants:
-        engine = GCXEngine(record_series=False, codegen=variant != "tables")
         plan = engine.compile(ADAPTED_QUERIES[query_key].text)
-        if variant == "codegen":
-            if plan.kernels is None or plan.kernels.evaluator is None:
-                raise SystemExit(
-                    f"query {query_key} has no generated evaluator kernel"
-                )
-            # the DFA tables + Kernel B: drop the fused front-end's data
-            plan = dataclasses.replace(
-                plan, kernels=dataclasses.replace(plan.kernels, lexer=None)
-            )
-        if variant == "fused" and (
-            plan.kernels is None or plan.kernels.lexer is None
-        ):
+        if variant == "tables":
+            # the DFA tables: drop the fused front-end's data
+            plan = dataclasses.replace(plan, lexer_kernel=None)
+        elif plan.lexer_kernel is None:
             if kernel == "fused":
                 raise SystemExit(
                     f"query {query_key} has no fused lexer kernel"
@@ -207,10 +197,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--kernel",
         default="both",
-        choices=("tables", "codegen", "fused", "both"),
-        help="kernel tier for the projector/engine stages: the "
-        "table-driven interpreters, the DFA tables with the generated "
-        "evaluator, the fused batch-scan lexer front-end, or one row "
+        choices=("tables", "fused", "both"),
+        help="projector tier for the projector/engine stages: the "
+        "DFA tables, the fused batch-scan lexer front-end, or one row "
         "per tier (default)",
     )
     parser.add_argument(

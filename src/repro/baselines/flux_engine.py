@@ -27,9 +27,9 @@ This baseline models both behaviours on top of the GCX runtime:
 
 from __future__ import annotations
 
-from repro.core.codegen import generate_plan_kernels
 from repro.core.engine import CompiledQuery, GCXEngine, _try_compile_program
 from repro.core.matcher import PathDFA, PathMatcher
+from repro.core.projector import generate_lexer_kernel
 from repro.core.signoff import insert_signoffs
 from repro.core.analysis import analyze_query
 from repro.xmlio.dtd import Dtd
@@ -100,7 +100,6 @@ class FluxLikeEngine(GCXEngine):
         drain: bool = True,
         compiled: bool = True,
         compiled_eval: bool = True,
-        codegen: bool = True,
     ):
         # Schema knowledge enables the scope-based release; without a
         # DTD the engine cannot prove any scope complete and keeps the
@@ -112,7 +111,6 @@ class FluxLikeEngine(GCXEngine):
             drain=drain,
             compiled=compiled,
             compiled_eval=compiled_eval,
-            codegen=codegen,
         )
         self.dtd = dtd
 
@@ -148,7 +146,7 @@ class FluxLikeEngine(GCXEngine):
             matcher,
             dfa=dfa,
             program=program,
-            kernels=generate_plan_kernels(dfa, analysis, program),
+            lexer_kernel=generate_lexer_kernel(dfa, analysis),
         )
 
     @staticmethod

@@ -31,7 +31,6 @@ class ProjectionOnlyEngine(GCXEngine):
         drain: bool = True,
         compiled: bool = True,
         compiled_eval: bool = True,
-        codegen: bool = True,
     ):
         super().__init__(
             gc_enabled=False,
@@ -40,5 +39,4 @@ class ProjectionOnlyEngine(GCXEngine):
             drain=drain,
             compiled=compiled,
             compiled_eval=compiled_eval,
-            codegen=codegen,
         )

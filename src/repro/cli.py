@@ -4,7 +4,7 @@ profile buffer behaviour, generate workloads.
 Subcommands::
 
     gcx run QUERY.xq INPUT.xml [--engine gcx] [--stats] [--chunk-size N]
-            [--interpreted] [--no-codegen]
+            [--interpreted]
     gcx multiplex INPUT.xml -q Q1.xq -q Q2.xq ... [--stats]
     gcx explain QUERY.xq
     gcx profile QUERY.xq INPUT.xml [--width 72] [--height 16]
@@ -80,24 +80,15 @@ _CLI_ERRORS = (
 )
 
 
-def _make_engine(
-    name: str,
-    interpreted: bool = False,
-    codegen: bool = True,
-):
+def _make_engine(name: str, interpreted: bool = False):
     """Build the chosen engine; *interpreted* selects the oracle pair
     ``compiled=False, compiled_eval=False`` (interpreting NFA projector
     + interpreting pull evaluator) on the GCX-family engines for A/B
-    runs against the compiled kernels — it bypasses the per-plan
-    kernels with them.  *codegen* = False keeps the DFA tables and the
-    VM but disables the per-plan kernels: the fused lexer front-end
-    (DESIGN.md §15) and the generated evaluator (DESIGN.md §12).  The
-    DOM baseline has none of these tiers, so the flags are no-ops
-    there."""
+    runs against the compiled pipeline (fused front-end or DFA tables,
+    then the VM).  The DOM baseline has none of these tiers, so the
+    flag is a no-op there."""
     toggles = (
-        {"compiled": False, "compiled_eval": False}
-        if interpreted
-        else {"codegen": codegen}
+        {"compiled": False, "compiled_eval": False} if interpreted else {}
     )
     if name == "gcx":
         return GCXEngine(**toggles)
@@ -136,11 +127,7 @@ def _evaluate(engine, query_text, input_path, chunk_size, output_stream=None):
 
 
 def _cmd_run(args) -> int:
-    engine = _make_engine(
-        args.engine,
-        interpreted=args.interpreted,
-        codegen=args.codegen,
-    )
+    engine = _make_engine(args.engine, interpreted=args.interpreted)
     # GCX-family sessions emit results incrementally to stdout; the
     # DOM baseline has no streaming output, so its result is printed
     # after the fact.
@@ -156,7 +143,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_multiplex(args) -> int:
     """N queries, one document, one shared lex+project pass."""
-    engine = _make_engine("gcx", codegen=args.codegen)
+    engine = _make_engine("gcx")
     shared = engine.shared_session()
     subscribers = [
         (path, shared.subscribe(engine.compile(_read(path))))
@@ -309,7 +296,7 @@ def _stats_tables(snapshot: dict) -> str:
 
     Top-level scalars (``uptime_s``, ``peak_buffer_watermark``) form
     the first table; every nested section — ``sessions``, ``bytes``,
-    ``dfa``, ``codegen``, ``multiplex``, ... — becomes its own block
+    ``dfa``, ``programs``, ``multiplex``, ... — becomes its own block
     with the keys flattened relative to the section and the values
     right-aligned, so ``gcx stats`` reads as a report rather than a
     JSON dump.  A fleet snapshot (``gcx stats`` against
@@ -378,17 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--interpreted",
         action="store_true",
         help="run the interpreting oracles (NFA projector + pull "
-        "evaluator) instead of the compiled kernels, for A/B runs; "
+        "evaluator) instead of the compiled pipeline, for A/B runs; "
         "output is byte-identical",
-    )
-    run.add_argument(
-        "--no-codegen",
-        dest="codegen",
-        action="store_false",
-        help="keep the DFA tables and the VM but disable the per-plan "
-        "kernels (fused lexer front-end, generated evaluator), for A/B "
-        "runs; output is byte-identical (--interpreted bypasses them "
-        "implicitly)",
     )
     run.add_argument(
         "--chunk-size",
@@ -416,12 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print per-query and stream statistics to stderr",
     )
     multiplex.add_argument(
-        "--no-codegen",
-        dest="codegen",
-        action="store_false",
-        help="disable the per-plan generated-code kernels, for A/B runs",
-    )
-    multiplex.add_argument(
         "--chunk-size",
         type=int,
         default=DEFAULT_CHUNK_SIZE,
@@ -430,7 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
     multiplex.set_defaults(func=_cmd_multiplex)
 
     explain = sub.add_parser(
-        "explain", help="show roles and the rewritten query (static analysis)"
+        "explain",
+        help="show roles, the projector tier and the rewritten query "
+        "(static analysis)",
     )
     explain.add_argument("query", help="path to the query file")
     explain.set_defaults(func=_cmd_explain)

@@ -58,15 +58,11 @@ Ablation switches:
   :class:`~repro.core.evaluator.PullEvaluator` instead of the compiled
   operator-program VM (DESIGN.md §10).  Again byte-identical; again an
   oracle switch.  ``gcx run --interpreted`` sets both to ``False``.
-* ``codegen=False`` — run the DFA tables and the operator-program VM
-  instead of the per-plan kernels: the fused lexer front-end (Kernel C,
-  DESIGN.md §15) and the generated evaluator (Kernel B, DESIGN.md §12).
-  Byte-identical; the projector ladder is fused front-end (bytes
-  sources) → DFA tables → NFA interpreter, the evaluator ladder
-  Kernel B → VM → interpreter, and each level is the differential
-  oracle of the one above.  ``gcx run --no-codegen`` sets it;
-  ``--interpreted`` bypasses the kernels implicitly (they specialize
-  the *compiled* tiers, so disabling those disables the kernels too).
+
+With both left on, pull runs, push sessions and restored durable
+sessions run one pipeline: the fused lexer front-end (DESIGN.md §15)
+where the plan has a lexer kernel and the source is bytes, the DFA
+tables otherwise, then the operator-program VM.
 """
 
 from __future__ import annotations
@@ -76,10 +72,10 @@ from dataclasses import dataclass
 
 from repro.core.analysis import analyze_query
 from repro.core.buffer import Buffer
-from repro.core.codegen import generate_plan_kernels
 from repro.core.matcher import PathDFA, PathMatcher
 from repro.core.plan import CompiledQuery, PlanCache, QueryPlan
 from repro.core.program import ProgramCompileError, compile_program
+from repro.core.projector import generate_lexer_kernel
 from repro.core.session import StreamSession, build_pipeline
 from repro.core.signoff import insert_signoffs
 from repro.core.stats import BufferStats
@@ -147,7 +143,6 @@ class GCXEngine:
         plan_cache: PlanCache | None = None,
         compiled: bool = True,
         compiled_eval: bool = True,
-        codegen: bool = True,
     ):
         self.gc_enabled = gc_enabled
         self.first_witness = first_witness
@@ -159,12 +154,6 @@ class GCXEngine:
         #: evaluate through the compiled operator-program VM; False
         #: falls back to the interpreting PullEvaluator (the oracle).
         self.compiled_eval = compiled_eval
-        #: use the per-plan kernels (fused front-end, generated
-        #: evaluator) where the plan has them; False falls back to the
-        #: DFA tables and the VM (the oracles).  Only consulted where
-        #: ``compiled`` resp. ``compiled_eval`` already selected the
-        #: compiled tier.
-        self.codegen = codegen
         #: LRU of compiled plans; pass a shared :class:`PlanCache` to
         #: let several engines reuse each other's compilations.
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
@@ -226,10 +215,9 @@ class GCXEngine:
             matcher,
             dfa=dfa,
             program=program,
-            # Generated inside the plan cache's single-flight, so N
-            # racing sessions of one query trigger exactly one
-            # generation; eviction drops the kernels with the plan.
-            kernels=generate_plan_kernels(dfa, analysis, program),
+            # Certified inside the plan cache's single-flight, so N
+            # racing sessions of one query trigger exactly one walk.
+            lexer_kernel=generate_lexer_kernel(dfa, analysis),
         )
 
     # ------------------------------------------------------------------
@@ -269,7 +257,6 @@ class GCXEngine:
         projector, evaluator = build_pipeline(
             compiled, lexer, buffer, stats, writer, self.gc_enabled,
             compiled=self.compiled, compiled_eval=self.compiled_eval,
-            codegen=self.codegen,
         )
         started = time.perf_counter()
         evaluator.run()
@@ -314,11 +301,8 @@ class GCXEngine:
                 ``drain_output()`` / ``next_output()`` then return
                 ``bytes`` ready for the wire.
             checkpointable: allow ``snapshot()``/``freeze()`` on this
-                session (DESIGN.md §16).  The session runs the fused
-                projector (Kernel C) and the operator-program VM; the
-                ``exec``-generated Kernel B is left out because its
-                loop state lives in generated locals a freeze cannot
-                capture.
+                session (DESIGN.md §16).  It runs the same pipeline as
+                any other session of *query*.
         """
         plan = query if isinstance(query, QueryPlan) else self.compile(query)
         kwargs = {}
@@ -334,7 +318,6 @@ class GCXEngine:
             max_pending_output=max_pending_output,
             compiled=self.compiled,
             compiled_eval=self.compiled_eval,
-            codegen=self.codegen,
             binary_output=binary_output,
             checkpointable=checkpointable,
             **kwargs,
@@ -368,7 +351,6 @@ class GCXEngine:
             output_stream=output_stream,
             on_output=on_output,
             max_pending_output=max_pending_output,
-            codegen=self.codegen,
             **kwargs,
         )
 
@@ -402,7 +384,6 @@ class GCXEngine:
             record_series=self.record_series,
             drain=self.drain,
             compiled_eval=self.compiled_eval,
-            codegen=self.codegen,
             **kwargs,
         )
 

@@ -23,9 +23,9 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.core.analysis import StaticAnalysis
-from repro.core.codegen import PlanKernels
 from repro.core.matcher import PathDFA, PathMatcher
 from repro.core.program import OperatorProgram
+from repro.core.projector import LexerKernel
 from repro.xquery import ast as q
 from repro.xquery.pretty import pretty_print
 
@@ -69,14 +69,11 @@ class QueryPlan:
     #: fragment or the plan was hand-built; runs then fall back to the
     #: interpreting :class:`~repro.core.evaluator.PullEvaluator`.
     program: OperatorProgram | None = None
-    #: per-plan generated-code kernels (DESIGN.md §12): specialized
-    #: Python for the projector/evaluator hot loops, exec-compiled once
-    #: at plan-compile time inside the cache's single-flight.  ``None``
-    #: when generation declined (or for hand-built plans); runs then
-    #: use the table-driven kernels — the fallback is silent and
-    #: byte-identical.  Evicting the plan drops the kernels and their
-    #: source with it; re-admission regenerates them exactly once.
-    kernels: PlanKernels | None = None
+    #: plan data of the fused lexer front-end (DESIGN.md §15): the tag
+    #: alphabet fused into the bytes lexer's scan and its certificate.
+    #: ``None`` when fusion declined (unknown tags stay live at the
+    #: root) or the plan was hand-built; runs then use the DFA tables.
+    lexer_kernel: LexerKernel | None = None
 
     def matcher_spec(self) -> list[tuple[str, object]]:
         """The ``(role name, projection path)`` pairs behind
@@ -89,11 +86,19 @@ class QueryPlan:
         return pretty_print(self.normalized)
 
     def describe(self) -> str:
-        """Role table plus the rewritten query — the textual analogue
-        of the demo's static-analysis visualisation (Figure 3(a))."""
+        """Role table, the projector a bytes run uses (and why) and the
+        rewritten query — the textual analogue of the demo's
+        static-analysis visualisation (Figure 3(a))."""
+        kernel = self.lexer_kernel
+        if kernel is None:
+            tier = "DFA tables (unknown tags stay live at the root)"
+        else:
+            certified = "certified" if kernel.certified else "uncertified"
+            tier = f"fused ({certified}, {kernel.probed_states} states probed)"
         return (
             "roles:\n"
             + self.analysis.describe_roles()
+            + f"\n\nprojector: {tier}"
             + "\n\nrewritten query:\n"
             + pretty_print(self.rewritten)
         )
@@ -337,38 +342,6 @@ class PlanCache:
             snapshot["plans"] += 1
             snapshot["ops"] += program.op_count
             snapshot["slots"] += program.n_slots
-        return snapshot
-
-    def codegen_stats(self) -> dict:
-        """Aggregate generated-kernel occupancy over the cached plans.
-
-        The codegen twin of :meth:`dfa_stats` / :meth:`program_stats`
-        (server observability, DESIGN.md §12): how many plans carry an
-        evaluator kernel (Kernel B) and a fused-lexer kernel (Kernel C),
-        the generated-source footprint in characters (Kernel B only;
-        Kernel C generates none), and how many plans fell back entirely
-        to the table-driven tiers.  Plans cached under several source
-        keys count once; evicting a plan removes its kernels (and their
-        source chars) from this snapshot.
-        """
-        with self._lock:
-            plans = {id(plan): plan for plan, _canonical in self._plans.values()}
-        snapshot = {
-            "plans": 0,
-            "evaluator_kernels": 0,
-            "lexer_kernels": 0,
-            "source_chars": 0,
-            "fallbacks": 0,
-        }
-        for plan in plans.values():
-            kernels = getattr(plan, "kernels", None)
-            if kernels is None:
-                snapshot["fallbacks"] += 1
-                continue
-            snapshot["plans"] += 1
-            snapshot["evaluator_kernels"] += kernels.evaluator is not None
-            snapshot["lexer_kernels"] += kernels.lexer is not None
-            snapshot["source_chars"] += kernels.source_chars
         return snapshot
 
     def clear(self) -> None:

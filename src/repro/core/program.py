@@ -41,6 +41,7 @@ optimisation, never a correctness risk.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.core.buffer import BufferNode
 from repro.core.evaluator import (
@@ -50,7 +51,7 @@ from repro.core.evaluator import (
     compute_aggregate,
     format_number,
 )
-from repro.xmlio.errors import FreezeSignal
+from repro.core.snapshot import SnapshotFormatError
 from repro.xmlio.writer import escape_attribute, escape_text
 from repro.xpath.ast import Axis, NodeTest, Path
 from repro.xquery import ast as q
@@ -170,6 +171,17 @@ class OperatorProgram:
     @property
     def op_count(self) -> int:
         return len(self.ops)
+
+    @cached_property
+    def enclosing_loops(self) -> tuple:
+        """Per pc ``0..len(ops)``: the ``OP_FOR_INIT`` pcs of the loops
+        live there, outermost first — the frames a snapshot must carry."""
+        live: list = [()] * (len(self.ops) + 1)
+        for pc, op in enumerate(self.ops):
+            if op[0] == OP_FOR_INIT:
+                for inner in range(pc + 1, self.ops[pc + 1][2]):
+                    live[inner] = live[inner] + (pc,)
+        return tuple(live)
 
     def describe(self) -> str:
         """Readable op listing (DESIGN.md §10's textual form)."""
@@ -520,6 +532,15 @@ def _descendants(node: BufferNode):
             stack.extend(reversed(child.children))
 
 
+def _raiser(message: str):
+    """A handler (or condition) that raises the deferred error."""
+
+    def handler():
+        raise EvaluationError(message)
+
+    return handler
+
+
 class CompiledEvaluator:
     """Executes one operator program over one projected stream.
 
@@ -528,7 +549,9 @@ class CompiledEvaluator:
     dispatch machinery differs.  Loop state lives in explicit frames —
     small mutable lists on a stack — and variable bindings in a flat
     slot list, so an iteration costs a few list operations instead of
-    an AST walk.
+    an AST walk.  Dispatch is closure-threaded: each op is bound once,
+    at construction, to a closure returning the next pc, and ``run()``
+    is the loop ``pc = handlers[pc]()``.
     """
 
     def __init__(
@@ -547,10 +570,11 @@ class CompiledEvaluator:
         self._slots: list = [None] * program.n_slots
         # Dispatch state lives on the instance so a freeze can unwind
         # run() and a later run() call (or a restored twin) re-enters
-        # at the same op.  Frames are mutated in place, so the local
-        # alias inside run() needs no write-back; the pc does.
+        # at the same op.  The bound handlers close over these two
+        # lists, so they are only ever mutated in place.
         self._frames: list = []
         self._pc = 0
+        self._handlers = self._bind()
 
     # ------------------------------------------------------------------
     # blocking primitives (the buffer-manager protocol)
@@ -577,74 +601,201 @@ class CompiledEvaluator:
         return self._buffer.root if ref is None else self._slots[ref]
 
     # ------------------------------------------------------------------
-    # the dispatch loop
+    # closure-threaded dispatch
     # ------------------------------------------------------------------
+
+    def _bind(self) -> list:
+        """One closure per op, each returning the next pc (DESIGN.md
+        §10), with jump chains, operands and predicates resolved now.
+        The closures hold the ``_slots``/``_frames`` lists themselves,
+        so a restore fills those lists in place."""
+        ops = self._program.ops
+        n = len(ops)
+
+        def target(pc: int) -> int:
+            while pc < n and ops[pc][0] == OP_JUMP:
+                pc = ops[pc][1]
+            return pc
+
+        return [self._bind_op(pc, op, target) for pc, op in enumerate(ops)]
+
+    def _bind_op(self, pc: int, op: tuple, target):
+        code = op[0]
+        nxt = target(pc + 1)
+        slots = self._slots
+        frames = self._frames
+        writer = self._writer
+        if code == OP_FOR_NEXT:
+            slot, exit_pc, spec = op[1], target(op[2]), self._program.ops[pc - 1][1]
+            pop = frames.pop
+            if spec[0] == ITER_CHILD and spec[3] is None:
+                next_child, pred = self._next_child, spec[2]
+
+                def handler():
+                    frame = frames[-1]
+                    child = next_child(frame[1], frame[2], pred)
+                    if child is None:
+                        pop()
+                        return exit_pc
+                    frame[2] = child.seq
+                    frame[3] += 1
+                    slots[slot] = child
+                    return nxt
+            else:
+                for_next = (  # by ITER_CHILD, ITER_DESC, ITER_SELF
+                    self._next_child_binding, self._next_descendant_binding, self._next_self_binding
+                )[spec[0]]
+
+                def handler():
+                    node = for_next(frames[-1])
+                    if node is None:
+                        pop()
+                        return exit_pc
+                    slots[slot] = node
+                    return nxt
+        elif code == OP_IF:
+            cond, else_pc = self._bind_cond(op[1]), target(op[2])
+
+            def handler():
+                return nxt if cond() else else_pc
+        elif code == OP_EMIT_RAW:
+            raw, text = writer.raw, op[1]
+
+            def handler():
+                raw(text)
+                return nxt
+        elif code == OP_JUMP:
+            to = target(op[1])
+
+            def handler():
+                return to
+        elif code == OP_FOR_INIT:
+            push, new_frame, spec = frames.append, self._new_frame, op[1]
+
+            def handler():
+                push(new_frame(spec))
+                return nxt
+        elif code == OP_OUTPUT_PATH:
+            output_path, (ctx, steps, attribute) = self._output_path, op[1:]
+
+            def handler():
+                output_path(ctx, steps, attribute)
+                return nxt
+        elif code == OP_SIGNOFF:
+            handler = self._bind_signoff(op[1], op[2], op[3], nxt)
+        elif code == OP_CONSTRUCT:
+            start, resolve, (tag, specs) = writer.start_element, self._resolve_attributes, op[1:]
+
+            def handler():
+                start(tag, resolve(specs))
+                return nxt
+        elif code == OP_EMIT_SCALAR:
+            wtext, slot = writer.text, op[1]
+
+            def handler():
+                value = slots[slot]
+                wtext(value if isinstance(value, str) else format_number(value))
+                return nxt
+        elif code == OP_EMIT_AGG:
+            wtext, aggregate, spec = writer.text, self._aggregate, op[1]
+
+            def handler():
+                wtext(format_number(aggregate(spec)))
+                return nxt
+        elif code == OP_LET:
+            slot, (kind, payload), aggregate = op[1], op[2], self._aggregate
+
+            def handler():
+                slots[slot] = aggregate(payload) if kind == "agg" else payload
+                return nxt
+        else:  # OP_RAISE
+            handler = _raiser(op[1])
+        return handler
+
+    def _bind_cond(self, spec):
+        kind = spec[0]
+        if kind == C_CMP:
+            op = spec[1]
+            left = self._bind_operand(spec[2])
+            right = self._bind_operand(spec[3])
+
+            def cond():
+                lvalues = left()
+                if not lvalues:
+                    return False
+                rvalues = right()
+                for lv in lvalues:
+                    for rv in rvalues:
+                        if _compare(op, lv, rv):
+                            return True
+                return False
+
+            return cond
+        if kind == C_EXISTS:
+            exists = self._exists
+            return lambda: exists(spec)
+        if kind in (C_AND, C_OR):
+            left = self._bind_cond(spec[1])
+            right = self._bind_cond(spec[2])
+            if kind == C_AND:
+                return lambda: left() and right()
+            return lambda: left() or right()
+        if kind == C_NOT:
+            sub = self._bind_cond(spec[1])
+            return lambda: not sub()
+        if kind == C_TRUE:
+            return lambda: True
+        return _raiser(spec[1])  # C_RAISE
+
+    def _bind_operand(self, spec):
+        """The closure twin of :meth:`_values` for one operand spec."""
+        kind = spec[0]
+        if kind == V_LIT:
+            constant = [spec[1]]
+            return lambda: constant
+        if kind == V_PATH and all(s[0] == AX_CHILD and s[2] is None for s in spec[2]):
+            # ``$x/@a``, ``$x/a/@b``: unpositioned child steps select
+            # disjoint runs of siblings, each in seq order, so the node
+            # set :meth:`_values` builds needs no dedupe and no sort here
+            ref, steps, attribute = spec[1], spec[2], spec[3]
+            buffer, slots, ensure_closed = self._buffer, self._slots, self._ensure_closed
+
+            def operand():
+                node = buffer.root if ref is None else slots[ref]
+                if not node.closed:
+                    ensure_closed(node)
+                nodes = [node]
+                for _axis, pred, _position in steps:
+                    nodes = [c for n in nodes for c in n.children if pred(c)]
+                if attribute is None:
+                    return [n.string_value() for n in nodes]
+                return [
+                    n.attributes[attribute]
+                    for n in nodes
+                    if n.tag is not None and attribute in n.attributes
+                ]
+
+            return operand
+        values = self._values
+        return lambda: values(spec)
 
     def run(self) -> None:
         """Execute the program to completion.
 
-        A :class:`FreezeSignal` raised by a blocking primitive unwinds
-        the loop after committing the current ``pc``; calling ``run()``
-        again re-executes that op from its start.  Every op blocks
-        before it writes (probe-then-advance), so re-execution is
-        byte-identical.
+        A :class:`~repro.xmlio.errors.FreezeSignal` raised by a
+        blocking primitive leaves ``pc`` at the op that hit it; calling
+        ``run()`` again re-executes that op from its start.  Every
+        handler blocks before it writes (probe-then-advance), so
+        re-execution is byte-identical.
         """
-        ops = self._program.ops
-        n = len(ops)
-        slots = self._slots
-        writer = self._writer
-        frames = self._frames
+        handlers = self._handlers
+        n = len(handlers)
         pc = self._pc
         try:
             while pc < n:
-                op = ops[pc]
-                code = op[0]
-                if code == OP_FOR_NEXT:
-                    node = self._for_next(frames[-1])
-                    if node is None:
-                        frames.pop()
-                        pc = op[2]
-                        continue
-                    slots[op[1]] = node
-                elif code == OP_IF:
-                    if not self._cond(op[1]):
-                        pc = op[2]
-                        continue
-                elif code == OP_EMIT_RAW:
-                    writer.raw(op[1])
-                elif code == OP_JUMP:
-                    pc = op[1]
-                    continue
-                elif code == OP_FOR_INIT:
-                    frames.append(self._new_frame(op[1]))
-                elif code == OP_OUTPUT_PATH:
-                    self._output_path(op[1], op[2], op[3])
-                elif code == OP_SIGNOFF:
-                    self._signoff(op[1], op[2], op[3])
-                elif code == OP_CONSTRUCT:
-                    writer.start_element(op[1], self._resolve_attributes(op[2]))
-                elif code == OP_EMIT_SCALAR:
-                    value = slots[op[1]]
-                    if isinstance(value, str):
-                        writer.text(value)
-                    else:
-                        writer.text(format_number(value))
-                elif code == OP_EMIT_AGG:
-                    writer.text(format_number(self._aggregate(op[1])))
-                elif code == OP_LET:
-                    kind, payload = op[2]
-                    slots[op[1]] = (
-                        self._aggregate(payload) if kind == "agg" else payload
-                    )
-                elif code == OP_RAISE:
-                    raise EvaluationError(op[1])
-                else:  # pragma: no cover - compiler emits only known ops
-                    raise EvaluationError(f"unknown opcode {code}")
-                pc += 1
-        except FreezeSignal:
+                pc = handlers[pc]()
+        finally:
             self._pc = pc
-            raise
-        self._pc = pc
 
     # ------------------------------------------------------------------
     # checkpointing
@@ -726,26 +877,33 @@ class CompiledEvaluator:
         def _node(ref):
             return None if ref is None else resolve(ref)
 
-        self._pc = state["pc"]
+        pc = state["pc"]
+        if not (isinstance(pc, int) and 0 <= pc <= len(ops)):
+            raise SnapshotFormatError(
+                f"snapshot pc {pc!r} outside the program (0..{len(ops)})"
+            )
+        init_pcs = [entry["init_pc"] for entry in state["frames"]]
+        if init_pcs != list(self._program.enclosing_loops[pc]):
+            raise SnapshotFormatError(
+                f"snapshot frames {init_pcs} do not match the loops "
+                f"enclosing pc {pc}"
+            )
         slots = [_value(value) for value in state["slots"]]
         if len(slots) != self._program.n_slots:
-            raise ValueError(
+            raise SnapshotFormatError(
                 f"snapshot has {len(slots)} slots, plan expects "
                 f"{self._program.n_slots}"
             )
-        self._slots = slots
+        for init_pc in init_pcs:  # inside a loop body, its variable is bound
+            if pc > init_pc + 1 and not isinstance(slots[ops[init_pc + 1][1]], BufferNode):
+                raise SnapshotFormatError(f"snapshot pc {pc}: loop {init_pc} variable unbound")
         frames: list = []
         for entry in state["frames"]:
-            init_pc = entry["init_pc"]
-            if not (0 <= init_pc < len(ops)) or ops[init_pc][0] != OP_FOR_INIT:
-                raise ValueError(
-                    f"frame init pc {init_pc} does not point at OP_FOR_INIT"
-                )
-            spec = ops[init_pc][1]
+            spec = ops[entry["init_pc"]][1]
             kind = entry["kind"]
             if kind == "child":
                 if spec[0] != ITER_CHILD:
-                    raise ValueError("frame kind mismatch for child iterator")
+                    raise SnapshotFormatError("frame kind mismatch for child iterator")
                 frames.append(
                     [
                         spec,
@@ -757,7 +915,7 @@ class CompiledEvaluator:
                 )
             elif kind == "desc":
                 if spec[0] != ITER_DESC:
-                    raise ValueError("frame kind mismatch for desc iterator")
+                    raise SnapshotFormatError("frame kind mismatch for desc iterator")
                 stack = entry["stack"]
                 frames.append(
                     [
@@ -777,9 +935,11 @@ class CompiledEvaluator:
                 )
             else:
                 if spec[0] != ITER_SELF:
-                    raise ValueError("frame kind mismatch for self iterator")
+                    raise SnapshotFormatError("frame kind mismatch for self iterator")
                 frames.append([spec, _node(entry["context"]), entry["done"]])
-        self._frames = frames
+        self._pc = pc
+        self._slots[:] = slots
+        self._frames[:] = frames
 
     # ------------------------------------------------------------------
     # for-loop frames
@@ -796,13 +956,7 @@ class CompiledEvaluator:
         # ITER_SELF: [spec, context, done]
         return [spec, self._ctx(spec[1]), False]
 
-    def _for_next(self, frame) -> BufferNode | None:
-        kind = frame[0][0]
-        if kind == ITER_CHILD:
-            return self._next_child_binding(frame)
-        if kind == ITER_DESC:
-            return self._next_descendant_binding(frame)
-        # ITER_SELF
+    def _next_self_binding(self, frame) -> BufferNode | None:
         if frame[2]:
             return None
         frame[2] = True
@@ -880,22 +1034,6 @@ class CompiledEvaluator:
     # conditions
     # ------------------------------------------------------------------
 
-    def _cond(self, spec) -> bool:
-        kind = spec[0]
-        if kind == C_CMP:
-            return self._comparison(spec)
-        if kind == C_EXISTS:
-            return self._exists(spec)
-        if kind == C_AND:
-            return self._cond(spec[1]) and self._cond(spec[2])
-        if kind == C_OR:
-            return self._cond(spec[1]) or self._cond(spec[2])
-        if kind == C_NOT:
-            return not self._cond(spec[1])
-        if kind == C_TRUE:
-            return True
-        raise EvaluationError(spec[1])  # C_RAISE
-
     def _exists(self, spec) -> bool:
         """Lazy existence test: probe the buffer after every pulled
         token; stop at the first witness or when the context closes."""
@@ -927,18 +1065,6 @@ class CompiledEvaluator:
                 return True
             if position is not None:
                 return False
-        return False
-
-    def _comparison(self, spec) -> bool:
-        left = self._values(spec[2])
-        if not left:
-            return False
-        right = self._values(spec[3])
-        op = spec[1]
-        for lv in left:
-            for rv in right:
-                if _compare(op, lv, rv):
-                    return True
         return False
 
     def _values(self, spec) -> list:
@@ -1081,16 +1207,27 @@ class CompiledEvaluator:
     # signOff + garbage collection
     # ------------------------------------------------------------------
 
-    def _signoff(self, ctx, steps, role) -> None:
+    def _bind_signoff(self, ref, steps, role, nxt):
+        """The ``OP_SIGNOFF`` handler: role removal plus GC."""
         if not self._gc_enabled:
-            return
-        context = self._ctx(ctx)
-        # Pull the context to its end tag first: all role instances the
-        # matcher will ever assign below it are then in the buffer, so
-        # the removal below is exhaustive (DESIGN.md §3.4).
-        self._ensure_closed(context)
-        if context.purged:
-            return
-        remove_role = self._buffer.remove_role
-        for node in self._frontier(context, steps):
-            remove_role(node, role)
+            return lambda: nxt
+        buffer, slots, frontier = self._buffer, self._slots, self._frontier
+        remove_role, advance = buffer.remove_role, self._projector.advance
+
+        def handler():
+            context = buffer.root if ref is None else slots[ref]
+            # Pull the context to its end tag first: all role instances
+            # the matcher will ever assign below it are then in the
+            # buffer, so the removal below is exhaustive (DESIGN.md §3.4).
+            while not context.closed and not context.purged:
+                if not advance():
+                    break
+            if not context.purged:
+                if steps:
+                    for node in frontier(context, steps):
+                        remove_role(node, role)
+                else:
+                    remove_role(context, role)
+            return nxt
+
+        return handler

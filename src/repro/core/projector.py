@@ -39,6 +39,8 @@ Three implementations share that contract:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.core.buffer import Buffer, BufferNode
 from repro.core.matcher import PathDFA, PathMatcher
 from repro.core.stats import BufferStats
@@ -413,6 +415,142 @@ class CompiledStreamProjector(_DFAStackProjector):
             self._buffer.close(node)
 
 
+# ---------------------------------------------------------------------------
+# the fused front-end's plan data
+# ---------------------------------------------------------------------------
+
+#: The certification walk stops enumerating the DFA closure past this
+#: many states: the plan still fuses, uncertified (per-tag dispatch).
+MAX_CERTIFIED_STATES = 192
+
+
+@dataclass(frozen=True)
+class LexerKernel:
+    """Plan data of the fused lexer front-end, the input of
+    :class:`FusedStreamProjector`: ``live_tags`` is the closed tag
+    alphabet fused into the scan; ``certified`` means the oracle NFA
+    proved every tag outside it dead in every reachable state
+    (``probed_states`` states passed the probe before the walk
+    stopped)."""
+
+    dfa: PathDFA
+    live_tags: tuple
+    probed_states: int
+    certified: bool = True
+
+
+def _projection_tags(analysis) -> list[str]:
+    """All tag names the plan's projection paths can ever match by
+    name — the closed tag alphabet fused into the lexer's scan."""
+    tags: set[str] = set()
+    for role in getattr(analysis, "roles", ()):
+        path = getattr(role, "path", None)
+        if path is None:
+            continue
+        for step in path.steps:
+            test = step.test
+            if getattr(test, "kind", None) == "name" and test.name:
+                tags.add(test.name)
+    return sorted(tags)
+
+
+#: The certification probe tag: NUL can never start an XML name, so no
+#: document tag collides with it, and pushing it through the oracle NFA
+#: answers "what happens to a tag name outside the plan's alphabet?"
+#: for one state in one call.
+_SENTINEL_TAG = "\x00"
+
+
+def _probe_fusible(dfa: PathDFA, state: int) -> bool:
+    """Is a tag name outside the plan's alphabet fully inert in
+    *state*?  The :data:`_SENTINEL_TAG` is pushed through the oracle
+    NFA on freshly materialized instances (no shared memo is touched):
+    inert means it binds no roles, enters the dead state, and leaves
+    the parent state unchanged.  Wildcard and ``node()`` element tests
+    match the sentinel and fail the probe; descendant self-loops keep
+    it live and fail the probe — exactly the situations where a skip
+    cannot be decided by name alone.
+    """
+    instances = dfa._instances(state)
+    child_instances, counts = dfa.matcher.enter_element(
+        instances, _SENTINEL_TAG
+    )
+    if counts:
+        return False
+    if dfa._canonical(child_instances):
+        return False
+    return dfa._canonical(instances) == dfa._states[state]
+
+
+def _certify_live_alphabet(dfa: PathDFA, tags: list[str]) -> tuple | None:
+    """Decide how much of the fused-skip decision can be baked;
+    returns ``(certified, probed_states)``, or ``None`` when even the
+    start state keeps unknown tags live (wildcard or descendant steps
+    at the root): fusion could never skip anything, so the plan keeps
+    the DFA tables.
+
+    The state closure is walked breadth-first over the alphabet
+    *including* text-driven parent adjustments (a fused run can sit in
+    a state only reachable through a text event exhausting a ``[1]``
+    step), and each state is probed with :func:`_probe_fusible` as the
+    walk dequeues it.  ``certified=True`` means the probe passed in
+    *every* closure state — an out-of-alphabet tag is dead everywhere,
+    so the fused loop may bulk-skip it without touching the DFA at all.
+    The walk stops at the first state that fails (``probed_states``
+    passed before it), or past :data:`MAX_CERTIFIED_STATES`:
+    ``certified=False`` (some state keeps unknown tags live, e.g. a
+    trailing ``descendant-or-self::node()`` subtree-copy role or a
+    descendant self-loop) still permits fusion — the batch boundary at
+    an unknown tag is harmless — but the skip decision must go through
+    the shared DFA dispatch per tag.  Stopping early matters: the
+    closure of a descendant chain grows with the number of NFA
+    derivations, and it is never needed once one state has failed.
+    """
+    seen: list[int] = [dfa.start]
+    seen_set = {dfa.start, PathDFA.dead}
+    probed = 0
+    while probed < len(seen):
+        state = seen[probed]
+        if not _probe_fusible(dfa, state):
+            return None if probed == 0 else (False, probed)
+        probed += 1
+        nxt = [dfa.text(state)[1]]
+        for tag in tags:
+            child, parent, _counts = dfa.element(state, tag)
+            nxt.append(child)
+            nxt.append(parent)
+        for candidate in nxt:
+            if candidate not in seen_set:
+                seen_set.add(candidate)
+                seen.append(candidate)
+        if len(seen) > MAX_CERTIFIED_STATES:
+            return (False, probed)
+    return (True, probed)
+
+
+def generate_lexer_kernel(dfa: PathDFA | None, analysis) -> LexerKernel | None:
+    """The fused front-end's plan data: the alphabet and its
+    certificate (:func:`_certify_live_alphabet`), computed once per plan
+    compile.  ``None`` when the plan cannot profit from fusion at all —
+    no DFA, no named projection tags, or unknown tags stay live even at
+    the root (wildcard steps, descendant axes from the root)."""
+    if dfa is None:
+        return None
+    tags = _projection_tags(analysis)
+    if not tags:
+        return None
+    verdict = _certify_live_alphabet(dfa, tags)
+    if verdict is None:
+        return None
+    certified, probed = verdict
+    return LexerKernel(
+        dfa=dfa,
+        live_tags=tuple(tags),
+        probed_states=probed,
+        certified=certified,
+    )
+
+
 #: Events per ``project_into`` refill: enough to amortize the call over
 #: a C-scanned run; a ceiling, not a latency floor (the lexer returns
 #: early rather than block while it holds events).
@@ -420,7 +558,7 @@ _LEXER_BATCH = 512
 
 
 class FusedStreamProjector(_DFAStackProjector):
-    """The fused lexer front-end (Kernel C, DESIGN.md §15): the
+    """The fused lexer front-end (DESIGN.md §15): the
     :class:`CompiledStreamProjector` dispatch, fed in batches.
 
     ``advance`` refills a queue with
@@ -428,7 +566,7 @@ class FusedStreamProjector(_DFAStackProjector):
     stops the batch right behind a start tag outside the plan's alphabet
     — that subtree is never tokenized but consumed by one bulk
     ``skip_subtree``.  *kernel* is the plan's
-    :class:`~repro.core.codegen.LexerKernel` (alphabet, DFA, and whether
+    :class:`LexerKernel` (alphabet, DFA, and whether
     the alphabet is ``certified``: the flagged tail is then skipped
     without a DFA transition).  ``advance``/``run_to_end`` are closures
     built once per instance, every hot binding in a cell.  Behaviour is

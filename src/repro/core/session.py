@@ -66,7 +66,6 @@ import time
 from collections import deque
 
 from repro.core.buffer import Buffer
-from repro.core.codegen import CodegenEvaluator
 from repro.core.evaluator import PullEvaluator
 from repro.core.plan import QueryPlan
 from repro.core.program import CompiledEvaluator
@@ -111,27 +110,21 @@ def build_pipeline(
     *,
     compiled: bool = True,
     compiled_eval: bool = True,
-    codegen: bool = True,
-    checkpointable: bool = False,
 ):
-    """``(projector, evaluator)`` for one run of *plan*: the one tier
-    ladder of pull runs, push sessions and restored sessions.
+    """``(projector, evaluator)`` for one run of *plan*: the one
+    pipeline of pull runs, push sessions and restored sessions.
 
     Projector: the fused front-end where the plan has a lexer kernel and
-    the lexer has ``project_into`` (bytes sources) → DFA tables; with
-    *compiled* False, the NFA interpreter.  Evaluator: Kernel B → VM →
-    interpreter.  *checkpointable* skips the ``exec``-generated Kernel
-    B, whose loop state lives in generated locals a freeze cannot
-    capture; the fused front-end is freeze-safe.
+    the lexer has ``project_into`` (bytes sources), the DFA tables
+    otherwise; with *compiled* False, the NFA interpreter.  Evaluator:
+    the operator-program VM; with *compiled_eval* False (or a plan
+    without a program), the interpreter.  Every tier is freeze-safe, so
+    checkpointable sessions run this same pipeline.
     """
-    kernels = plan.kernels if codegen else None
+    kernel = plan.lexer_kernel
     if compiled and plan.dfa is not None:
-        if (
-            kernels is not None
-            and kernels.lexer is not None
-            and hasattr(lexer, "project_into")
-        ):
-            projector = FusedStreamProjector(kernels.lexer, lexer, buffer, stats)
+        if kernel is not None and hasattr(lexer, "project_into"):
+            projector = FusedStreamProjector(kernel, lexer, buffer, stats)
         else:
             projector = CompiledStreamProjector(lexer, plan.dfa, buffer, stats)
     else:
@@ -139,19 +132,9 @@ def build_pipeline(
     # The plan's operator program is immutable and shared too; all
     # per-run state (slots, loop frames) lives on the evaluator.
     if compiled_eval and plan.program is not None:
-        if (
-            kernels is not None
-            and kernels.evaluator is not None
-            and not checkpointable
-        ):
-            evaluator = CodegenEvaluator(
-                kernels.evaluator, plan.program, projector, buffer, writer,
-                gc_enabled,
-            )
-        else:
-            evaluator = CompiledEvaluator(
-                plan.program, projector, buffer, writer, gc_enabled
-            )
+        evaluator = CompiledEvaluator(
+            plan.program, projector, buffer, writer, gc_enabled
+        )
     else:
         evaluator = PullEvaluator(
             plan.rewritten, projector, buffer, writer, gc_enabled
@@ -444,7 +427,6 @@ class StreamSession:
         max_pending_chunks: int = DEFAULT_MAX_PENDING_CHUNKS,
         compiled: bool = True,
         compiled_eval: bool = True,
-        codegen: bool = True,
         binary_output: bool = False,
         checkpointable: bool = False,
     ):
@@ -486,7 +468,6 @@ class StreamSession:
         self._projector, self._evaluator = build_pipeline(
             plan, self._lexer, self._buffer, self._stats, self._writer,
             gc_enabled, compiled=compiled, compiled_eval=compiled_eval,
-            codegen=codegen, checkpointable=checkpointable,
         )
         self._error: BaseException | None = None
         self._result = None
@@ -737,7 +718,6 @@ class StreamSession:
         on_output=None,
         max_pending_output: int | None = None,
         max_pending_chunks: int = DEFAULT_MAX_PENDING_CHUNKS,
-        codegen: bool = True,
     ) -> "StreamSession":
         """Rebuild a session from a :meth:`snapshot` blob.
 
@@ -748,9 +728,9 @@ class StreamSession:
         :class:`~repro.core.snapshot.SnapshotFormatError`.  The caller
         resumes feeding at byte offset ``bytes_fed`` and the combined
         output (already-delivered prefix + what this session produces)
-        is byte-identical to an uninterrupted run.  The tiers follow
-        *codegen* as for a new checkpointable session; the fused and
-        table projectors share one checkpoint state.
+        is byte-identical to an uninterrupted run.  The session runs the
+        pipeline a new session of *plan* runs; the fused and table
+        projectors share one checkpoint state.
         """
         snap = decode_session(blob)
         verify_plan(snap, plan)
@@ -788,7 +768,7 @@ class StreamSession:
         self._writer = XmlWriter(stream=self._output)
         self._projector, self._evaluator = build_pipeline(
             plan, self._lexer, self._buffer, self._stats, self._writer,
-            snap.gc_enabled, codegen=codegen, checkpointable=True,
+            snap.gc_enabled,
         )
         # the series in place: the fused projector's loop holds the list
         self._stats.series[:] = snap.stats["series"]

@@ -19,7 +19,7 @@ N sessions over the same document each lex and project N times.
   (:class:`_EventReplay`) that serves the broadcast events through the
   ``next_event()`` / ``skip_subtree()`` surface the compiled
   projectors already consume, and an unmodified per-plan pipeline —
-  DFA-table projector, VM/codegen evaluator, buffer, stats, output
+  DFA-table projector, VM evaluator, buffer, stats, output
   channel — running on its own worker thread.
 
 Because a subscriber's projector sees the same significant-event
@@ -205,7 +205,6 @@ class StreamSubscriber:
         record_series: bool = True,
         drain: bool = True,
         compiled_eval: bool = True,
-        codegen: bool = True,
         output_stream=None,
         on_output=None,
         max_pending_output: int | None = None,
@@ -235,7 +234,7 @@ class StreamSubscriber:
         self._writer = XmlWriter(stream=self._output)
         self._projector, self._evaluator = build_pipeline(
             plan, self._replay, self._buffer, self._stats, self._writer,
-            gc_enabled, compiled_eval=compiled_eval, codegen=codegen,
+            gc_enabled, compiled_eval=compiled_eval,
         )
         self._error: BaseException | None = None
         self._result = None
@@ -356,7 +355,6 @@ class SharedStreamSession:
         record_series: bool = True,
         drain: bool = True,
         compiled_eval: bool = True,
-        codegen: bool = True,
         max_pending_chunks: int = DEFAULT_MAX_PENDING_CHUNKS,
         max_pending_batches: int = DEFAULT_MAX_PENDING_BATCHES,
         batch_events: int = DEFAULT_BATCH_EVENTS,
@@ -366,7 +364,6 @@ class SharedStreamSession:
             "record_series": record_series,
             "drain": drain,
             "compiled_eval": compiled_eval,
-            "codegen": codegen,
             "max_pending_batches": max_pending_batches,
         }
         self._batch_events = max(1, batch_events)

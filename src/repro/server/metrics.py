@@ -215,7 +215,7 @@ class ServerMetrics:
     # ------------------------------------------------------------------
 
     def snapshot(self, plan_cache=None, dfa=None, programs=None,
-                 codegen=None, multiplex=None) -> dict:
+                 multiplex=None) -> dict:
         """A JSON-ready view of the registry.
 
         *plan_cache* takes a :class:`~repro.core.plan.PlanCacheStats`;
@@ -227,10 +227,7 @@ class ServerMetrics:
         per-token work the connections have amortized away).
         *programs* takes
         :meth:`~repro.core.plan.PlanCache.program_stats` — the compiled
-        operator programs backing the evaluation side.  *codegen* takes
-        :meth:`~repro.core.plan.PlanCache.codegen_stats` — how many
-        plans carry generated-code kernels and the generated-source
-        footprint they hold (DESIGN.md §12).  *multiplex* takes the
+        operator programs backing the evaluation side.  *multiplex* takes the
         scheduler's live shared-stream occupancy (DESIGN.md §13); the
         stream/subscriber counters recorded here are merged into it.
         """
@@ -283,8 +280,6 @@ class ServerMetrics:
             snap["dfa"] = dict(dfa)
         if programs is not None:
             snap["programs"] = dict(programs)
-        if codegen is not None:
-            snap["codegen"] = dict(codegen)
         if multiplex is not None:
             with self._lock:
                 snap["multiplex"] = {

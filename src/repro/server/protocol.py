@@ -66,9 +66,8 @@ sends (so pipelining can never wedge against the stream) and consuming
 them in ``finish()`` — or earlier via ``recv_result()``.
 
 Checkpoint/resume (DESIGN.md §16): a CHECKPOINT frame *before* OPEN
-marks the next session checkpointable (it runs the freeze-safe fused
-projector and the operator-program VM — every tier but the two
-``exec``-generated kernels, whose loop state a freeze cannot capture);
+marks the next session checkpointable (it runs the same pipeline as
+any other session: every tier is freeze-safe);
 a CHECKPOINT frame *during* the session freezes it,
 drains the produced output, and answers with one SNAPSHOT frame whose
 payload is ``SNAPSHOT_OFFSETS`` (input offset = document bytes

@@ -483,12 +483,10 @@ class SessionScheduler:
     def snapshot(self) -> dict:
         """Service metrics plus the shared plan cache's counters, the
         compiled kernels' transition-memo occupancy, the operator
-        programs' footprint, the generated-code kernels' count and
-        source footprint, and the shared-stream occupancy."""
+        programs' footprint and the shared-stream occupancy."""
         return self.metrics.snapshot(
             plan_cache=self.engine.plan_cache.stats,
             dfa=self.engine.plan_cache.dfa_stats(),
             programs=self.engine.plan_cache.program_stats(),
-            codegen=self.engine.plan_cache.codegen_stats(),
             multiplex=self._multiplex_snapshot(),
         )

@@ -475,7 +475,7 @@ class GCXServer:
                         return
                     if session is None:
                         # Arm: the next OPEN admits a checkpointable
-                        # session (pinned to the snapshot-safe kernels).
+                        # session.
                         arm_checkpoint = True
                         continue
                     try:

@@ -6,17 +6,31 @@ from repro.xmlio.tokens import Token, TokenKind
 
 
 def escape_text(value: str) -> str:
-    """Escape character data for element content."""
-    return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    """Escape character data for element content.
+
+    A raw ``\r`` would reach a reparse as ``\n`` (end-of-line
+    normalization), so it is written as a character reference
+    (XSLT and XQuery Serialization 3.1, §7.1)."""
+    value = value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    if "\r" in value:
+        value = value.replace("\r", "&#13;")
+    return value
 
 
 def escape_attribute(value: str) -> str:
-    """Escape character data for a double-quoted attribute value."""
-    return (
-        value.replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace('"', "&quot;")
-    )
+    """Escape character data for a double-quoted attribute value.
+
+    Tab, newline and ``\r`` are written as character references: a
+    reparse would normalize them to spaces (attribute-value
+    normalization)."""
+    value = value.replace("&", "&amp;").replace("<", "&lt;").replace('"', "&quot;")
+    if "\t" in value:
+        value = value.replace("\t", "&#9;")
+    if "\n" in value:
+        value = value.replace("\n", "&#10;")
+    if "\r" in value:
+        value = value.replace("\r", "&#13;")
+    return value
 
 
 class XmlWriter:

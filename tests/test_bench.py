@@ -85,10 +85,10 @@ class TestReporting:
 
 class TestThroughputGate:
     """The CI gate enforces compiled >= interpreting on every kernel
-    pair (projector, evaluator, lexer, per-plan kernels)."""
+    pair (projector, evaluator, lexer, fused front-end)."""
 
     #: a payload that satisfies every gated pair, overridden per test.
-    #: engine_q1_codegen deliberately sits below engine_q1_compiled_bytes
+    #: engine_q1_fused deliberately sits below engine_q1_compiled_bytes
     #: but above its 0.85 floor — the documented noise tolerance.
     PASSING = dict(
         engine_q1_compiled=10.0,
@@ -98,7 +98,7 @@ class TestThroughputGate:
         lexer_bytes=15.0,
         lexer_bytes_fused=14.0,
         lexer_events=10.0,
-        engine_q1_codegen=9.5,
+        engine_q1_fused=9.5,
         engine_q1_compiled_bytes=10.0,
         server_8queries_shared=24.0,
         server_8queries_independent=8.0,
@@ -143,7 +143,7 @@ class TestThroughputGate:
         message = gate.check(path)
         assert "evaluator_vm" in message and "ok" in message
         assert "lexer_bytes" in message
-        assert "engine_q1_codegen" in message
+        assert "engine_q1_fused" in message
         assert "server_8queries_shared" in message
 
     def test_multiplex_pair_gates_at_its_documented_floor(self, tmp_path):
@@ -257,18 +257,18 @@ class TestThroughputGate:
         with pytest.raises(SystemExit, match="absolute"):
             gate.check(path)
 
-    def test_engine_codegen_pair_tolerates_noise_but_has_a_floor(
+    def test_engine_fused_pair_tolerates_noise_but_has_a_floor(
         self, tmp_path
     ):
-        """End to end the tokenizer is the ceiling, so the codegen/
+        """End to end the tokenizer is the ceiling, so the fused/
         tables engine pair carries a 0.85 floor: 9.5 vs 10.0 passes
         (PASSING already encodes that), 8.0 vs 10.0 fails."""
         gate = self._gate()
         path = self._write(
             tmp_path,
-            self._entries(**{**self.PASSING, "engine_q1_codegen": 8.0}),
+            self._entries(**{**self.PASSING, "engine_q1_fused": 8.0}),
         )
-        with pytest.raises(SystemExit, match="engine_q1_codegen"):
+        with pytest.raises(SystemExit, match="engine_q1_fused"):
             gate.check(path)
 
     def test_fails_when_evaluator_entries_missing(self, tmp_path):

@@ -12,10 +12,12 @@ raise a distinct, typed error before any engine state is touched.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 
@@ -249,11 +251,15 @@ class TestFreezeThaw:
                 engine.session(QUERY, checkpointable=True)
 
     def test_checkpointable_runs_fused_projector(self, gcx, doc, reference):
-        # the fused front-end is freeze-safe and stays on; only the
-        # exec-generated evaluator (Kernel B) is left out, for the VM
+        # every tier is freeze-safe: durable, streaming and restored
+        # sessions run one pipeline
         session = gcx.session(QUERY, checkpointable=True)
         assert type(session._projector) is FusedStreamProjector
         assert type(session._evaluator) is CompiledEvaluator
+        streaming = gcx.session(QUERY)
+        assert type(streaming._projector) is FusedStreamProjector
+        assert type(streaming._evaluator) is CompiledEvaluator
+        streaming.abort()
         data = doc.encode()
         _feed_range(session, data, 0, len(data) // 2)
         restored = gcx.restore_session(session.snapshot())
@@ -356,6 +362,15 @@ _PROFILE_DOC = (
 )
 
 
+class _TablesEngine(GCXEngine):
+    """Compiles plans without a lexer kernel: the DFA-tables side of
+    the fused/tables blob crossing."""
+
+    def _compile(self, query_text, context=None):
+        plan = super()._compile(query_text, context)
+        return dataclasses.replace(plan, lexer_kernel=None)
+
+
 class TestFusedFreezeDifferential:
     # q1 is certified; q6, q13 and q20 are not, and q20's <profile>
     # is a buffered start (it carries the @income role) whose children
@@ -365,7 +380,7 @@ class TestFusedFreezeDifferential:
         query = ADAPTED_QUERIES[key].text
         chunks = _chunks(doc.encode(), 24)
         plan = gcx.compile(query)
-        assert plan.kernels.lexer.certified == (key == "q1")
+        assert plan.lexer_kernel.certified == (key == "q1")
         expected = _fingerprint(gcx.run(plan, doc.encode()))
         prints, _ = _restore_at_every_boundary(gcx, gcx, query, chunks)
         for cut, got in enumerate(prints):
@@ -386,7 +401,7 @@ class TestFusedFreezeDifferential:
 
     @pytest.mark.parametrize("direction", ["fused_to_tables", "tables_to_fused"])
     def test_blobs_cross_between_tiers(self, gcx, direction):
-        tables = GCXEngine(codegen=False)
+        tables = _TablesEngine()
         freezer, restorer = (
             (gcx, tables) if direction == "fused_to_tables" else (tables, gcx)
         )
@@ -409,7 +424,7 @@ class TestFusedFreezeDifferential:
         plan = gcx.compile(QUERY)
         buffer = Buffer()
         projector = FusedStreamProjector(
-            plan.kernels.lexer, ByteXmlLexer(_DRAIN_DOC), buffer
+            plan.lexer_kernel, ByteXmlLexer(_DRAIN_DOC), buffer
         )
         projector.advance()  # one event dispatched, the batch queued
         with pytest.raises(SessionStateError, match="queued"):
@@ -426,7 +441,7 @@ class TestFusedFreezeDifferential:
         lexer = ByteXmlLexer(
             b'<site><people><person id="p"><name>x</name></oops>'
         )
-        projector = FusedStreamProjector(plan.kernels.lexer, lexer, Buffer())
+        projector = FusedStreamProjector(plan.lexer_kernel, lexer, Buffer())
         for _ in range(6):  # the six events queued ahead of the error
             assert projector.advance()
         with pytest.raises(SessionStateError, match="pending error"):
@@ -438,6 +453,23 @@ class TestFusedFreezeDifferential:
 # ---------------------------------------------------------------------------
 # refusals: stale versions and foreign blobs are rejected, not misread
 # ---------------------------------------------------------------------------
+
+
+def forged_blob(engine, data: bytes, forge) -> bytes:
+    """A q1 snapshot taken once the session has consumed the first half
+    of *data*, its evaluator state rewritten by *forge* — what a
+    tampered RESUME blob carries."""
+    session = engine.session(QUERY, checkpointable=True)
+    _feed_range(session, data, 0, len(data) // 2)
+    deadline = time.monotonic() + 10
+    while session._channel.backlog() and time.monotonic() < deadline:
+        time.sleep(0.001)  # let the worker consume what was fed
+    evaluator = session._evaluator
+    real = evaluator.snapshot_state
+    evaluator.snapshot_state = lambda: forge(real())
+    blob = session.snapshot()
+    session.abort()
+    return blob
 
 
 class TestRefusals:
@@ -478,6 +510,39 @@ class TestRefusals:
         other = gcx.compile(OTHER_QUERY)
         with pytest.raises(SnapshotPlanMismatch):
             StreamSession.restore(other, blob)
+
+    @pytest.mark.parametrize(
+        "forge, match",
+        [
+            (lambda s: {**s, "pc": 10**6}, "outside the program"),
+            (lambda s: {**s, "pc": 3}, "do not match the loops"),
+            # q1's program has 19 ops: pc 19 is "finished", no frames
+            (lambda s: {**s, "pc": 19}, "do not match the loops"),
+            (lambda s: {**s, "frames": []}, "do not match the loops"),
+            (
+                lambda s: {
+                    **s,
+                    "pc": 3,
+                    "frames": s["frames"][:1],
+                    "slots": [None] * len(s["slots"]),
+                },
+                "variable unbound",
+            ),
+        ],
+        ids=[
+            "pc-past-end",
+            "pc-outer-loop",
+            "pc-finished",
+            "frames-dropped",
+            "loop-variable-unbound",
+        ],
+    )
+    def test_evaluator_state_that_does_not_fit_the_program_refused(
+        self, gcx, doc, forge, match
+    ):
+        blob = forged_blob(gcx, doc.encode(), forge)
+        with pytest.raises(SnapshotFormatError, match=match):
+            gcx.restore_session(blob)
 
     def test_snapshot_errors_are_value_errors(self, blob, gcx):
         # the server maps ValueError to a QUERY ERROR frame; every

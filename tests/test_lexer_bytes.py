@@ -544,7 +544,7 @@ class TestHypothesisDifferential:
 
 
 # ----------------------------------------------------------------------
-# fused lexer kernel (DESIGN.md §15): fused ≡ table ≡ str oracle
+# fused lexer kernel (DESIGN.md §15): fused ≡ NFA ≡ str oracle
 # ----------------------------------------------------------------------
 
 # Child-axis plans over the documents() alphabet; each admits the
@@ -557,7 +557,7 @@ _PLAN_QUERIES = (
 )
 
 _FUSED_ENGINE = GCXEngine()
-_TABLE_ENGINE = GCXEngine(codegen=False)
+_NFA_ENGINE = GCXEngine(compiled=False)
 
 
 def _result_fingerprint(result):
@@ -581,14 +581,13 @@ def outcome_with_offset(fn):
 class TestFusedKernelDifferential:
     """The acceptance property for the fused tier: for every document,
     plan and byte-level chunking, the fused batch-scan front-end is
-    indistinguishable from the table tier and the str-lexer oracle —
+    indistinguishable from the NFA oracle and the str-lexer oracle —
     output, stats and error identity (type, message, byte offset)."""
 
     def test_plans_admit_the_fused_kernel(self):
         for query in _PLAN_QUERIES:
             plan = _FUSED_ENGINE.compile(query)
-            assert plan.kernels is not None, query
-            assert plan.kernels.lexer is not None, query
+            assert plan.lexer_kernel is not None, query
 
     @given(
         doc=documents(),
@@ -598,12 +597,12 @@ class TestFusedKernelDifferential:
     @settings(max_examples=80, deadline=None)
     def test_pull_run_identical_at_random_byte_cuts(self, doc, cuts, query):
         fused_plan = _FUSED_ENGINE.compile(query)
-        table_plan = _TABLE_ENGINE.compile(query)
+        nfa_plan = _NFA_ENGINE.compile(query)
         chunks = byte_chunks(doc.encode("utf-8"), cuts)
-        oracle = _result_fingerprint(_TABLE_ENGINE.run(table_plan, doc))
+        oracle = _result_fingerprint(_NFA_ENGINE.run(nfa_plan, doc))
         fused = _result_fingerprint(_FUSED_ENGINE.run(fused_plan, iter(chunks)))
-        table = _result_fingerprint(_TABLE_ENGINE.run(table_plan, iter(chunks)))
-        assert fused == table == oracle
+        nfa = _result_fingerprint(_NFA_ENGINE.run(nfa_plan, iter(chunks)))
+        assert fused == nfa == oracle
 
     @given(
         doc=documents(),

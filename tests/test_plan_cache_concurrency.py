@@ -381,87 +381,77 @@ class TestSequentialInvariantsStillHold:
         assert cache.stats.misses == 3
 
 
-class TestCodegenArtifactLifecycle:
-    """ISSUE 6: generated-code kernels ride the plan through the cache
-    — generated exactly once inside the single-flight, dropped with the
-    plan on eviction, regenerated exactly once on re-admission."""
+class TestLexerKernelLifecycle:
+    """The fused front-end's lexer kernel rides the plan through the
+    cache — certified exactly once inside the single-flight, dropped
+    with the plan on eviction, re-certified exactly once on
+    re-admission."""
 
     QUERY_A = "<r>{ for $x in /doc/item return $x/name }</r>"
     QUERY_B = "<r>{ for $x in /doc/thing return $x }</r>"
 
     @staticmethod
-    def _counting_codegen(monkeypatch):
-        """Patch the engine's kernel generation with a counting proxy."""
-        import repro.core.codegen as codegen_module
+    def _counting_certification(monkeypatch):
+        """Patch the engine's lexer-kernel generation with a counting
+        proxy."""
         import repro.core.engine as engine_module
 
         calls: list[int] = []
         lock = threading.Lock()
-        real = codegen_module.generate_plan_kernels
+        real = engine_module.generate_lexer_kernel
 
-        def counting(dfa, analysis, program):
+        def counting(dfa, analysis):
             with lock:
                 calls.append(1)
             time.sleep(0.01)
-            return real(dfa, analysis, program)
+            return real(dfa, analysis)
 
-        monkeypatch.setattr(engine_module, "generate_plan_kernels", counting)
+        monkeypatch.setattr(engine_module, "generate_lexer_kernel", counting)
         return calls
 
-    def test_eviction_drops_kernels_and_readmission_regenerates_once(
+    def test_eviction_drops_lexer_kernel_and_readmission_recertifies_once(
         self, monkeypatch
     ):
-        calls = self._counting_codegen(monkeypatch)
+        calls = self._counting_certification(monkeypatch)
         engine = GCXEngine(plan_cache=PlanCache(capacity=1))
         plan_a = engine.compile(self.QUERY_A)
-        assert plan_a.kernels is not None
-        # evaluator + fused lexer front-end (DESIGN.md §12, §15)
-        assert plan_a.kernels.kernel_count == 2
+        assert plan_a.lexer_kernel is not None
         assert len(calls) == 1
-        chars_a = plan_a.kernels.source_chars
 
-        snap = engine.plan_cache.codegen_stats()
-        assert snap["plans"] == 1
-        assert snap["source_chars"] == chars_a
-
-        engine.compile(self.QUERY_B)  # evicts plan A, kernels and all
+        engine.compile(self.QUERY_B)  # evicts plan A, kernel and all
         assert len(calls) == 2
-        snap = engine.plan_cache.codegen_stats()
-        assert snap["plans"] == 1
-        assert snap["source_chars"] != 0
-        assert snap["source_chars"] == (
-            engine.compile(self.QUERY_B).kernels.source_chars
-        )
 
-        plan_a2 = engine.compile(self.QUERY_A)  # re-admission: regenerate
+        plan_a2 = engine.compile(self.QUERY_A)  # re-admission: recertify
         assert plan_a2 is not plan_a
-        assert plan_a2.kernels is not plan_a.kernels
-        assert plan_a2.kernels.source_chars == chars_a
-        assert len(calls) == 3  # exactly one regeneration, not N
+        assert plan_a2.lexer_kernel is not plan_a.lexer_kernel
+        kernel_a, kernel_a2 = plan_a.lexer_kernel, plan_a2.lexer_kernel
+        assert kernel_a2.live_tags == kernel_a.live_tags
+        assert kernel_a2.certified == kernel_a.certified
+        assert len(calls) == 3  # exactly one re-certification, not N
 
-    def test_racing_sessions_generate_kernels_exactly_once(self, monkeypatch):
-        calls = self._counting_codegen(monkeypatch)
+    def test_racing_sessions_certify_exactly_once(self, monkeypatch):
+        calls = self._counting_certification(monkeypatch)
         engine = GCXEngine()
         results, errors = _run_threads(
             32, lambda _i: engine.compile(self.QUERY_A)
         )
         assert not errors
-        assert len(calls) == 1  # single-flight covers generation too
+        assert len(calls) == 1  # single-flight covers certification too
         assert all(plan is results[0] for plan in results)
-        assert results[0].kernels is not None
+        assert results[0].lexer_kernel is not None
 
-    def test_32_sessions_install_audit_with_codegen(self):
+    def test_32_sessions_install_audit_with_fused_front_end(self):
         """The shared-memo install audit, re-run with the fused
         front-end driving the shared DFA: 32 concurrent sessions
-        over one plan, every output equal to a fresh engine's, and the
+        over one plan, every output equal to the NFA oracle's, and the
         shared memo still a deterministic machine afterwards."""
-        engine = GCXEngine(codegen=True)
+        engine = GCXEngine()
         query = TestDfaSharingUnderConcurrency.QUERY
         document = TestDfaSharingUnderConcurrency._document
 
         def run_session(index: int):
             plan = engine.compile(query)
-            assert plan.kernels is not None and plan.kernels.lexer is not None
+            assert plan.lexer_kernel is not None
             session = engine.session(plan)
             doc = document(index % 8)
             for start in range(0, len(doc), 41):
@@ -474,7 +464,7 @@ class TestCodegenArtifactLifecycle:
         assert len({id(plan) for plan, _o, _w in results}) == 1
         plan = results[0][0]
 
-        reference = GCXEngine(codegen=False)  # table oracle
+        reference = GCXEngine(compiled=False)  # NFA oracle
         for index in range(8):
             expected = reference.query(query, document(index))
             for thread_index in range(index, 32, 8):
@@ -483,5 +473,3 @@ class TestCodegenArtifactLifecycle:
                 assert watermark == expected.stats.watermark
 
         _audit_dfa(plan.dfa)
-        snap = engine.plan_cache.codegen_stats()
-        assert (snap["evaluator_kernels"], snap["lexer_kernels"]) == (1, 1)

@@ -20,7 +20,9 @@ those seams:
 
 from __future__ import annotations
 
+import pathlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -357,3 +359,26 @@ def test_vm_chunked_equals_oracle_whole_string(query, doc_seed, cuts):
     oracle_engine = GCXEngine(compiled_eval=False, compiled=False)
     oracle = oracle_engine.run(oracle_engine.compile(query), xml)
     _assert_identical(vm, oracle, f"query={query!r} xml={xml!r}")
+
+
+# ---------------------------------------------------------------------------
+# confinement: no generated code anywhere
+# ---------------------------------------------------------------------------
+
+
+def test_no_exec_or_compile_in_src():
+    """The VM binds closures, it never generates source: no module
+    under ``src/`` calls the ``exec``/``compile`` builtins.  The lint
+    rule (ruff S102) runs in CI; this is its in-tree twin, which also
+    covers bare ``compile(`` calls and environments without ruff."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    # bare builtin calls only: `engine.compile(...)`, `re.compile(...)`
+    # and `compile_program(...)` are fine, `exec(`/`compile(` are not
+    builtin_call = re.compile(r"(?<!def )(?<![\w.])(?:exec|compile)\(")
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if builtin_call.search(line.split("#", 1)[0]):
+                offenders.append(f"{path.relative_to(src)}:{lineno}")
+    assert not offenders, "exec()/compile() in src/: " + ", ".join(offenders)

@@ -190,6 +190,21 @@ class TestResumeFrame:
             client.close()
 
 
+    @pytest.mark.parametrize("pc", [10**6, 3])
+    def test_resume_blob_with_a_forged_pc_is_error(self, doc, pc):
+        from test_checkpoint import forged_blob
+
+        blob = forged_blob(GCXEngine(), doc.encode(), lambda s: {**s, "pc": pc})
+        with ServerThread(max_sessions=4) as handle:
+            client = GCXClient(handle.host, handle.port)
+            with pytest.raises(ServerError, match="pc"):
+                client.resume(blob)
+            # the connection survives the refusal: a normal query works
+            outcome = client.run_query(QUERY, doc)
+            assert outcome.output
+            client.close()
+
+
 class TestServerInterval:
     def test_server_cadence_emits_unsolicited_snapshots(self, doc, expected):
         data = doc.encode()
